@@ -10,9 +10,9 @@
 //! cargo run --release -p ipsim-bench --bin bench_snapshot -- --check # compare
 //! ```
 //!
-//! `--check` re-measures and fails (exit 1) when any `system/*` bench is
-//! more than `IPSIM_BENCH_TOLERANCE` percent (default 10) slower than the
-//! committed snapshot. The snapshot path defaults to
+//! `--check` re-measures and fails (exit 1) when any `system/*` or
+//! `trace/*` bench is more than `IPSIM_BENCH_TOLERANCE` percent (default
+//! 10) slower than the committed snapshot. The snapshot path defaults to
 //! `BENCH_sim_kernel.json` and can be redirected with `--out PATH` or the
 //! `IPSIM_BENCH_BASELINE` environment variable (`--out` wins) — useful
 //! for comparing against an alternate baseline without moving files. The min-of-N estimator is deliberate: minima track
@@ -333,6 +333,21 @@ fn run_all(reps: u32) -> Vec<BenchResult> {
         }),
     });
 
+    // Synthesis of the DB program (the most basic blocks of the four
+    // workloads). Sweeps and the daemon build each program once per trace
+    // store, so a synthesis slowdown would hide behind the cache in every
+    // end-to-end number; this entry gates it directly. One op is one
+    // synthesised block.
+    let db_blocks = u64::from(Workload::Db.build_program(1).n_blocks());
+    results.push(BenchResult {
+        name: "trace/program_build_db",
+        ops: db_blocks,
+        min_ms: min_of(reps, || {
+            let prog = Workload::Db.build_program(1);
+            assert!(u64::from(prog.n_blocks()) == db_blocks);
+        }),
+    });
+
     let mut hit_cache = SetAssocCache::new(CacheConfig::default_l1());
     for l in 0..512u64 {
         hit_cache.fill(LineAddr(l), FillKind::Demand);
@@ -376,7 +391,7 @@ fn render(results: &[BenchResult], baseline: Option<&str>) -> String {
     out.push_str(
         "  \"note\": \"min-of-N hand-timed samples; regenerate with \
          `cargo run --release -p ipsim-bench --bin bench_snapshot` on a quiet machine; \
-         `--check` gates system/* at IPSIM_BENCH_TOLERANCE (default 10%)\",\n",
+         `--check` gates system/* and trace/* at IPSIM_BENCH_TOLERANCE (default 10%)\",\n",
     );
     out.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -474,7 +489,8 @@ fn check_against(path: &str, results: &[BenchResult]) -> i32 {
         return 1;
     }
     let mut failed = false;
-    for r in results.iter().filter(|r| r.name.starts_with("system/")) {
+    let gated = |name: &str| name.starts_with("system/") || name.starts_with("trace/");
+    for r in results.iter().filter(|r| gated(r.name)) {
         let Some((_, committed_ms)) = committed.iter().find(|(n, _)| n == r.name) else {
             eprintln!("  {:<38} not in committed snapshot (new bench?)", r.name);
             continue;
@@ -497,7 +513,7 @@ fn check_against(path: &str, results: &[BenchResult]) -> i32 {
     }
     if failed {
         eprintln!(
-            "bench_snapshot: system_throughput regressed more than {tolerance_pct}% \
+            "bench_snapshot: a gated bench regressed more than {tolerance_pct}% \
              vs {path} (set IPSIM_BENCH_TOLERANCE to widen on noisy machines)"
         );
         match baseline_provenance(&committed_text) {

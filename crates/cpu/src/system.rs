@@ -1,6 +1,8 @@
 //! The full system: N cores over a shared memory system, plus the builder
 //! and the workload-assignment helper.
 
+use std::sync::Arc;
+
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_prefetch::{SchemeCounters, Zoo, ZooPlan};
@@ -80,7 +82,21 @@ impl WorkloadSet {
     /// Synthesises one program per *distinct* workload across the first
     /// `n_cores` cores (cores running the same app share the binary, hence
     /// share code lines in the L2).
-    pub fn programs(&self, n_cores: u32) -> Vec<(Workload, Program)> {
+    pub fn programs(&self, n_cores: u32) -> Vec<(Workload, Arc<Program>)> {
+        self.programs_via(n_cores, |w, seed| Arc::new(w.build_program(seed)))
+    }
+
+    /// Like [`WorkloadSet::programs`], but obtaining each distinct
+    /// workload's program from `program(workload, program_seed)` — the hook
+    /// through which a caller shares programs it already built (the
+    /// harness's trace store keeps one per `(workload, seed)` for its whole
+    /// lifetime). `program` must return what
+    /// [`Workload::build_program`] would: streams depend on it.
+    pub fn programs_via(
+        &self,
+        n_cores: u32,
+        mut program: impl FnMut(Workload, u64) -> Arc<Program>,
+    ) -> Vec<(Workload, Arc<Program>)> {
         let mut distinct: Vec<Workload> = Vec::new();
         for c in 0..n_cores {
             let w = self.workload_for_core(c);
@@ -90,18 +106,22 @@ impl WorkloadSet {
         }
         distinct
             .into_iter()
-            .map(|w| (w, w.build_program(self.program_seed)))
+            .map(|w| (w, program(w, self.program_seed)))
             .collect()
     }
 
-    /// The walker that feeds core `core`, over programs built by
-    /// [`WorkloadSet::programs`].
+    /// The walker that feeds core `core`, over programs from
+    /// [`WorkloadSet::programs`] or [`WorkloadSet::programs_via`].
     ///
     /// This is *the* definition of a core's instruction stream: capture in
     /// the harness and live generation in [`System::run_workload`] both
     /// build walkers here, which is what guarantees a stored trace replays
     /// the exact stream a live run would generate.
-    pub fn walker<'p>(&self, programs: &'p [(Workload, Program)], core: u32) -> TraceWalker<'p> {
+    pub fn walker<'p>(
+        &self,
+        programs: &'p [(Workload, Arc<Program>)],
+        core: u32,
+    ) -> TraceWalker<'p> {
         let w = self.workload_for_core(core);
         let prog = &programs
             .iter()
@@ -480,9 +500,12 @@ impl System {
         }
     }
 
-    /// Builds walkers for `workloads`, warms the system for `warm_instrs`
-    /// per core, then measures for `measure_instrs` per core and returns
-    /// the metrics. This is the main experiment entry point.
+    /// Builds walkers for `workloads` over freshly synthesised programs,
+    /// warms the system for `warm_instrs` per core, then measures for
+    /// `measure_instrs` per core and returns the metrics. This is the main
+    /// experiment entry point; callers running many workloads share
+    /// programs through [`WorkloadSet::programs_via`] and
+    /// [`System::run_workload_from`] instead.
     pub fn run_workload(
         &mut self,
         workloads: &WorkloadSet,

@@ -5,7 +5,8 @@
 //! daemon on drain) into aligned tables: counters and gauges by family,
 //! histogram percentiles per label-set, and per-span-name wall-time
 //! totals. `--require` turns it into smoke-test teeth: the report fails
-//! unless every named metric family is present in the snapshot.
+//! unless every named metric family is present in the snapshot, and — for
+//! a `NAME>N` entry — unless the family's samples sum to more than `N`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -21,7 +22,8 @@ usage: ops_report [options]
   --metrics FILE    Prometheus text snapshot (e.g. a saved /v1/metrics scrape)
   --spans FILE      Chrome-trace span file (e.g. results/serve/spans.trace.json)
   --require NAMES   comma-separated metric families that must be present;
-                    missing families fail the report (exit 1)
+                    missing families fail the report (exit 1); an entry
+                    NAME>N also needs the family's samples to sum above N
   --help            this text
 
 At least one of --metrics / --spans is required.
@@ -30,7 +32,7 @@ At least one of --metrics / --spans is required.
 fn main() {
     let mut metrics: Option<PathBuf> = None;
     let mut spans: Option<PathBuf> = None;
-    let mut require: Vec<String> = Vec::new();
+    let mut require: Vec<Requirement> = Vec::new();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -47,12 +49,14 @@ fn main() {
             }
             "--metrics" => metrics = Some(value("--metrics").into()),
             "--spans" => spans = Some(value("--spans").into()),
-            "--require" => require.extend(
-                value("--require")
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string),
-            ),
+            "--require" => {
+                for entry in value("--require").split(',').filter(|s| !s.is_empty()) {
+                    require.push(Requirement::parse(entry).unwrap_or_else(|| {
+                        eprintln!("bad --require entry `{entry}`\n\n{USAGE}");
+                        exit(2);
+                    }));
+                }
+            }
             _ => {
                 eprintln!("unknown argument `{arg}`\n\n{USAGE}");
                 exit(2);
@@ -77,9 +81,9 @@ fn main() {
         match parse_text(&text) {
             Ok(exposition) => {
                 print!("{}", metrics_tables(&exposition));
-                for name in &require {
-                    if exposition.family(name).is_none() {
-                        eprintln!("ops_report: required family `{name}` is missing");
+                for req in &require {
+                    if let Err(e) = req.check(&exposition) {
+                        eprintln!("ops_report: {e}");
                         failed = true;
                     }
                 }
@@ -108,6 +112,51 @@ fn main() {
     }
     if failed {
         exit(1);
+    }
+}
+
+/// One `--require` entry: a family that must be present, optionally with
+/// a floor its samples' sum must exceed.
+struct Requirement {
+    family: String,
+    above: Option<f64>,
+}
+
+impl Requirement {
+    /// Parses `NAME` or `NAME>N`.
+    fn parse(entry: &str) -> Option<Requirement> {
+        let (family, above) = match entry.split_once('>') {
+            Some((family, n)) => (family, Some(n.trim().parse().ok()?)),
+            None => (entry, None),
+        };
+        let family = family.trim();
+        (!family.is_empty()).then(|| Requirement {
+            family: family.to_string(),
+            above,
+        })
+    }
+
+    /// Checks the requirement against a parsed snapshot.
+    fn check(&self, exposition: &Exposition) -> Result<(), String> {
+        let name = &self.family;
+        let family = exposition
+            .family(name)
+            .ok_or_else(|| format!("required family `{name}` is missing"))?;
+        match self.above {
+            Some(floor) => {
+                let total: f64 = family.samples.iter().map(|s| s.value).sum();
+                if total > floor {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "required family `{name}` sums to {} (needs > {})",
+                        trim_float(total),
+                        trim_float(floor)
+                    ))
+                }
+            }
+            None => Ok(()),
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end contract of `ops_report`: a saved metrics snapshot and a
-//! span trace render as tables, `--require` fails on a missing family,
-//! and garbage inputs exit 1 rather than panicking.
+//! span trace render as tables, `--require` fails on a missing family or
+//! a `NAME>N` floor it does not clear, and garbage inputs exit 1 rather
+//! than panicking.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -83,6 +84,33 @@ fn require_fails_on_missing_family() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("ipsim_not_a_family"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn require_checks_value_floors() {
+    let dir = tmp("floor");
+    let metrics = dir.join("metrics.prom");
+    std::fs::write(&metrics, snapshot()).unwrap();
+    let run = |require: &str| {
+        Command::new(BIN)
+            .args(["--metrics", metrics.to_str().unwrap()])
+            .args(["--require", require])
+            .output()
+            .unwrap()
+    };
+    // The counter holds 7 and the gauge 3.
+    let out = run("ipsim_serve_requests_total>0,ipsim_serve_queue_depth>2");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = run("ipsim_serve_requests_total>7");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("sums to 7 (needs > 7)"), "{stderr}");
+    let out = run("ipsim_not_a_family>0");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    // A malformed floor is a usage error.
+    let out = run("ipsim_serve_requests_total>lots");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

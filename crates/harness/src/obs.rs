@@ -32,6 +32,12 @@ pub struct HarnessMetrics {
     /// `ipsim_kernel_decode_mips` — trace decode throughput, one
     /// observation per executed run that decoded a stream.
     pub decode_mips: Histogram,
+    /// `ipsim_harness_program_builds_total` — programs a trace store
+    /// synthesised (at most one per workload and seed per store).
+    pub program_builds: Counter,
+    /// `ipsim_harness_program_reuses_total` — program requests a trace
+    /// store served from an earlier build instead of re-synthesising.
+    pub program_reuses: Counter,
 }
 
 /// The process-wide harness metrics, registered on first use.
@@ -49,6 +55,8 @@ pub fn obs() -> &'static HarnessMetrics {
             run_wall: m.histogram("ipsim_harness_run_wall_micros", &[]),
             sim_mips: m.histogram("ipsim_kernel_sim_mips", &[]),
             decode_mips: m.histogram("ipsim_kernel_decode_mips", &[]),
+            program_builds: m.counter("ipsim_harness_program_builds_total", &[]),
+            program_reuses: m.counter("ipsim_harness_program_reuses_total", &[]),
         }
     })
 }

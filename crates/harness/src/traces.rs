@@ -23,18 +23,25 @@
 //!   back to live generation — there is no mid-run failure path;
 //! * capture I/O errors degrade the run to plain live generation
 //!   (the simulation result is identical either way).
+//!
+//! The store also owns the synthesised programs its live and capture runs
+//! walk: each distinct `(workload, program seed)` is built at most once per
+//! store and shared as `Arc<Program>` (DESIGN.md §16). A store lives for
+//! one sweep, or for the whole daemon in `ipsim-serve`, so programs never
+//! outlive the runs that asked for them and a fresh store starts cold.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use ipsim_cpu::{OpSource, System};
+use ipsim_cpu::{OpSource, System, WorkloadSet};
 use ipsim_stream::{ArenaSource, ReplaySource, Tee, TraceReader, TraceWriter};
 use ipsim_telemetry::{TelemetryConfig, TelemetryRun};
+use ipsim_trace::{Program, TraceWalker, Workload};
 use ipsim_types::instr::TraceOp;
 
 use crate::spec::RunSpec;
@@ -215,6 +222,49 @@ pub struct TraceStore {
     /// Fully decoded streams, keyed by trace key and shared across the
     /// worker pool; `total_ops` tracks the store-wide arena budget.
     arenas: Mutex<ArenaCache>,
+    /// Programs synthesised for live and capture runs, shared across the
+    /// worker pool for the store's lifetime.
+    program_cache: ProgramCache,
+}
+
+/// A program slot, filled by the first worker that asks for it.
+type ProgramCell = Arc<OnceLock<Arc<Program>>>;
+
+/// One cell per `(workload, program seed)`: the map lock is held only to
+/// find the cell, and [`OnceLock::get_or_init`] makes concurrent workers
+/// wanting the same program wait for one build instead of racing.
+#[derive(Debug, Default)]
+struct ProgramCache {
+    cells: Mutex<HashMap<(Workload, u64), ProgramCell>>,
+    builds: AtomicU64,
+    reuses: AtomicU64,
+}
+
+impl ProgramCache {
+    /// The program for `(workload, seed)`, built on first request.
+    fn get(&self, workload: Workload, seed: u64) -> Arc<Program> {
+        let cell = self
+            .cells
+            .lock()
+            .unwrap()
+            .entry((workload, seed))
+            .or_default()
+            .clone();
+        let mut built = false;
+        let program = cell.get_or_init(|| {
+            built = true;
+            let _synth = ipsim_obs::spans().span("trace.synth");
+            Arc::new(workload.build_program(seed))
+        });
+        if built {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            crate::obs::obs().program_builds.inc();
+        } else {
+            self.reuses.fetch_add(1, Ordering::Relaxed);
+            crate::obs::obs().program_reuses.inc();
+        }
+        program.clone()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -233,6 +283,7 @@ impl TraceStore {
             quarantined: AtomicU64::new(0),
             claims: Mutex::new(HashSet::new()),
             arenas: Mutex::new(ArenaCache::default()),
+            program_cache: ProgramCache::default(),
         }
     }
 
@@ -245,6 +296,7 @@ impl TraceStore {
             quarantined: AtomicU64::new(0),
             claims: Mutex::new(HashSet::new()),
             arenas: Mutex::new(ArenaCache::default()),
+            program_cache: ProgramCache::default(),
         }
     }
 
@@ -283,6 +335,24 @@ impl TraceStore {
         self.quarantined.load(Ordering::Relaxed)
     }
 
+    /// Programs synthesised by this instance (at most one per distinct
+    /// workload and program seed).
+    pub fn program_builds(&self) -> u64 {
+        self.program_cache.builds.load(Ordering::Relaxed)
+    }
+
+    /// Program requests this instance served from an earlier build.
+    pub fn program_reuses(&self) -> u64 {
+        self.program_cache.reuses.load(Ordering::Relaxed)
+    }
+
+    /// The programs `workloads` runs on its first `n_cores` cores, as
+    /// [`WorkloadSet::programs`] builds them, but each synthesised at most
+    /// once per store and shared from then on.
+    pub fn programs(&self, workloads: &WorkloadSet, n_cores: u32) -> Vec<(Workload, Arc<Program>)> {
+        workloads.programs_via(n_cores, |w, seed| self.program_cache.get(w, seed))
+    }
+
     /// Path of the per-core trace file for a trace key.
     fn core_path(&self, dir: &Path, key: &str, core: u32) -> PathBuf {
         let _ = self;
@@ -317,7 +387,7 @@ impl TraceStore {
         slot: &mut SystemSlot,
     ) -> TracedRun {
         let Some(dir) = self.dir.clone() else {
-            return live_run(spec, telemetry, slot);
+            return self.live_run(spec, telemetry, slot);
         };
         let key = spec.trace_key();
         match self.try_replay(&dir, spec, &key, telemetry, slot) {
@@ -490,7 +560,7 @@ impl TraceStore {
         if !claimed || fs::create_dir_all(dir).is_err() {
             // Someone else is already writing this stream (or the store
             // directory is unusable): plain live run.
-            return live_run(spec, telemetry, slot);
+            return self.live_run(spec, telemetry, slot);
         }
 
         let n_cores = spec.config.n_cores;
@@ -509,14 +579,14 @@ impl TraceStore {
                 }
                 None => {
                     discard(&tmp_paths);
-                    return live_run(spec, telemetry, slot);
+                    return self.live_run(spec, telemetry, slot);
                 }
             }
         }
 
         // Drive the run through capture tees: identical walkers to a live
         // run, with every op mirrored to its core's writer.
-        let programs = spec.workloads.programs(n_cores);
+        let programs = self.programs(&spec.workloads, n_cores);
         let mut tees: Vec<_> = writers
             .into_iter()
             .enumerate()
@@ -572,6 +642,37 @@ impl TraceStore {
         }
     }
 
+    /// Executes `spec` with plain live generation over the store's shared
+    /// programs (no trace files involved): the walkers and stream of
+    /// [`System::run_workload`], without re-synthesising the programs.
+    fn live_run(
+        &self,
+        spec: &RunSpec,
+        telemetry: Option<&TelemetryConfig>,
+        slot: &mut SystemSlot,
+    ) -> TracedRun {
+        let n_cores = spec.config.n_cores;
+        let programs = self.programs(&spec.workloads, n_cores);
+        let mut walkers: Vec<TraceWalker<'_>> = (0..n_cores)
+            .map(|c| spec.workloads.walker(&programs, c))
+            .collect();
+        let mut sources: Vec<&mut dyn OpSource> =
+            walkers.iter_mut().map(|w| w as &mut dyn OpSource).collect();
+        let mut system = instrumented(spec, telemetry, slot);
+        let metrics =
+            system.run_workload_from(&mut sources, spec.lengths.warm, spec.lengths.measure);
+        let run = TracedRun {
+            summary: Summary::from_metrics(&metrics),
+            source: RunSource::Live,
+            decode_mips: 0.0,
+            sim_mips: metrics.sim_mips(),
+            sim_seconds: metrics.sim_wall_seconds,
+            telemetry: system.take_telemetry(),
+        };
+        slot.put(system);
+        run
+    }
+
     /// Moves a corrupt trace aside, preserving it for inspection.
     fn quarantine(&self, path: &Path) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -596,26 +697,6 @@ fn instrumented(
         system.enable_telemetry(config.clone());
     }
     system
-}
-
-/// Executes `spec` with plain live generation (no store involvement).
-fn live_run(
-    spec: &RunSpec,
-    telemetry: Option<&TelemetryConfig>,
-    slot: &mut SystemSlot,
-) -> TracedRun {
-    let mut system = instrumented(spec, telemetry, slot);
-    let metrics = system.run_workload(&spec.workloads, spec.lengths.warm, spec.lengths.measure);
-    let run = TracedRun {
-        summary: Summary::from_metrics(&metrics),
-        source: RunSource::Live,
-        decode_mips: 0.0,
-        sim_mips: metrics.sim_mips(),
-        sim_seconds: metrics.sim_wall_seconds,
-        telemetry: system.take_telemetry(),
-    };
-    slot.put(system);
-    run
 }
 
 /// Removes leftover capture temp files (best effort).
@@ -860,6 +941,83 @@ mod tests {
         let run = store.execute(&spec);
         assert_eq!(run.source, RunSource::Live);
         assert_eq!(store.captured(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `specs` on one thread each, all released together, and
+    /// returns each run with the programs its thread drew from the store.
+    fn race(store: &TraceStore, specs: &[&RunSpec]) -> Vec<(TracedRun, Arc<Program>)> {
+        let barrier = std::sync::Barrier::new(specs.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|spec| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let run = store.execute(spec);
+                        let programs = store.programs(&spec.workloads, spec.config.n_cores);
+                        (run, programs[0].1.clone())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// Two threads running different specs over the same workload through
+    /// one store share one program, built once, and produce exactly the
+    /// summaries a fresh `RunSpec::execute` does — on the live, capture
+    /// and replay paths. A fresh store builds again: nothing leaks across
+    /// stores.
+    #[test]
+    fn concurrent_runs_share_one_program_build() {
+        let a = spec();
+        let b = a
+            .clone()
+            .prefetcher(ipsim_core::PrefetcherKind::NextLineTagged);
+        assert_ne!(a.cache_key(), b.cache_key());
+        let want: Vec<String> = [&a, &b].iter().map(|s| s.execute().to_tsv()).collect();
+        let check = |runs: &[(TracedRun, Arc<Program>)], path: &str| {
+            for ((run, _), want) in runs.iter().zip(&want) {
+                assert_eq!(&run.summary.to_tsv(), want, "{path} run diverged");
+            }
+            assert!(
+                Arc::ptr_eq(&runs[0].1, &runs[1].1),
+                "{path}: threads got different programs"
+            );
+        };
+
+        // Live: the store is off, both runs walk the shared program.
+        let live = TraceStore::disabled();
+        let runs = race(&live, &[&a, &b]);
+        check(&runs, "live");
+        assert!(runs.iter().all(|(r, _)| r.source == RunSource::Live));
+        // Four requests (two runs, two `programs` calls), one build.
+        assert_eq!((live.program_builds(), live.program_reuses()), (1, 3));
+
+        // Capture, then replay: one thread wins the capture claim (the
+        // other runs live or, if it starts late, replays); replays need no
+        // program at all.
+        let dir = tmp_dir("share");
+        let store = TraceStore::at(&dir);
+        let first = race(&store, &[&a, &b]);
+        check(&first, "capture");
+        assert_eq!(store.captured(), 1);
+        assert!(first.iter().any(|(r, _)| r.source == RunSource::Capture));
+        let replays = race(&store, &[&a, &b]);
+        check(&replays, "replay");
+        assert!(replays.iter().all(|(r, _)| r.source == RunSource::Replay));
+        assert_eq!(store.program_builds(), 1, "one build per store");
+        assert!(
+            !Arc::ptr_eq(&first[0].1, &runs[0].1),
+            "stores share nothing"
+        );
+
+        // A fresh store starts cold.
+        let fresh = TraceStore::disabled();
+        assert_eq!(fresh.execute(&a).summary.to_tsv(), want[0]);
+        assert_eq!((fresh.program_builds(), fresh.program_reuses()), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 }

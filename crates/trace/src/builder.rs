@@ -5,8 +5,8 @@ use ipsim_types::instr::INSTR_BYTES;
 use ipsim_types::{Addr, Rng64};
 
 use crate::profile::WorkloadProfile;
-use crate::program::TierSampler;
 use crate::program::{Block, FuncId, Function, Program, Terminator};
+use crate::program::{BlockSink, TierSampler, WalkTable};
 
 /// Base address of synthesised code (keeps PC 0 invalid).
 const CODE_BASE: u64 = 0x1_0000;
@@ -53,6 +53,30 @@ impl ProgramBuilder {
     /// Synthesises the program.
     pub fn build(&self) -> Program {
         let p = &self.profile;
+        let functions = (p.n_functions + p.n_trap_handlers) as usize;
+        // Expected block count plus a margin; `assemble` trims the excess.
+        let blocks = (f64::from(p.n_functions) * (1.0 + p.blocks_per_fn_mean) * 1.1) as usize
+            + 4 * p.n_trap_handlers as usize;
+        let mut table = WalkTable::with_capacity(functions, blocks);
+        let layout = self.synthesize(&mut table);
+        let program = layout.assemble(table);
+        debug_assert_eq!(program.validate(), Ok(()));
+        program
+    }
+
+    /// Synthesises the program and also returns its functions exactly as
+    /// drawn, before walk-table encoding — the reference that
+    /// [`Program::function`]'s decoded view is checked against.
+    pub fn build_with_functions(&self) -> (Program, Vec<Function>) {
+        let mut recorder = Recorder::default();
+        let layout = self.synthesize(&mut recorder);
+        (layout.assemble(recorder.table), recorder.functions)
+    }
+
+    /// Draws the whole program into `sink`, one block at a time in layout
+    /// order, and returns everything else the program needs.
+    fn synthesize(&self, sink: &mut impl BlockSink) -> Layout {
+        let p = &self.profile;
         let mut rng = Rng64::new(self.seed);
         let n = p.n_functions;
 
@@ -86,11 +110,10 @@ impl ProgramBuilder {
 
         let code_start = Addr(CODE_BASE);
         let mut cursor = code_start;
-        let mut functions = Vec::with_capacity((n + p.n_trap_handlers) as usize);
 
         for _ in 0..n {
             let nb = 1 + rng.geometric(p_blocks, MAX_BLOCKS) as u32;
-            let mut blocks = Vec::with_capacity(nb as usize);
+            sink.begin_function();
             for b in 0..nb {
                 let ni = 1 + rng.geometric(p_instrs, MAX_BLOCK_INSTRS) as u32;
                 let terminator = if b == nb - 1 {
@@ -98,21 +121,16 @@ impl ProgramBuilder {
                 } else {
                     self.draw_terminator(&mut rng, b, nb, &by_rank, &call_targets)
                 };
-                blocks.push(Block {
-                    start: cursor,
-                    n_instrs: ni,
-                    terminator,
-                });
+                sink.push(cursor, ni, terminator);
                 cursor = cursor.offset(ni as u64 * INSTR_BYTES);
             }
-            functions.push(Function { blocks });
         }
 
         // Trap handlers: short straight-line functions at the top of the
         // code segment (far from regular code, like kernel trap vectors).
         for _ in 0..p.n_trap_handlers {
             let nb = 2 + rng.range(3) as u32;
-            let mut blocks = Vec::with_capacity(nb as usize);
+            sink.begin_function();
             for b in 0..nb {
                 let ni = 2 + rng.range(6) as u32;
                 let terminator = if b == nb - 1 {
@@ -120,26 +138,18 @@ impl ProgramBuilder {
                 } else {
                     Terminator::FallThrough
                 };
-                blocks.push(Block {
-                    start: cursor,
-                    n_instrs: ni,
-                    terminator,
-                });
+                sink.push(cursor, ni, terminator);
                 cursor = cursor.offset(ni as u64 * INSTR_BYTES);
             }
-            functions.push(Function { blocks });
         }
 
-        let program = Program::assemble(
-            functions,
+        Layout {
             code_start,
-            cursor.0 - code_start.0,
-            n,
+            code_bytes: cursor.0 - code_start.0,
+            n_regular: n,
             by_rank,
             dispatch,
-        );
-        debug_assert_eq!(program.validate(), Ok(()));
-        program
+        }
     }
 
     /// Chooses the terminator for non-final block `b` of `nb`.
@@ -230,6 +240,64 @@ impl ProgramBuilder {
                 target: b.saturating_sub(span as u32),
                 taken_prob: jitter(rng, p.bwd_taken_prob).min(0.72),
             }
+        }
+    }
+}
+
+/// A walk table that also keeps each block as drawn.
+#[derive(Default)]
+struct Recorder {
+    table: WalkTable,
+    functions: Vec<Function>,
+}
+
+impl BlockSink for Recorder {
+    fn begin_function(&mut self) {
+        self.table.begin_function();
+        self.functions.push(Function { blocks: Vec::new() });
+    }
+
+    fn push(&mut self, start: Addr, n_instrs: u32, terminator: Terminator) {
+        let block = Block {
+            start,
+            n_instrs,
+            terminator: terminator.clone(),
+        };
+        self.functions
+            .last_mut()
+            .expect("blocks follow begin_function")
+            .blocks
+            .push(block);
+        self.table.push(start, n_instrs, terminator);
+    }
+}
+
+/// Everything a program holds besides its walk table.
+struct Layout {
+    code_start: Addr,
+    code_bytes: u64,
+    n_regular: u32,
+    by_rank: Vec<FuncId>,
+    dispatch: TierSampler,
+}
+
+impl Layout {
+    fn assemble(self, table: WalkTable) -> Program {
+        let WalkTable {
+            mut walk,
+            func_base,
+            indirect,
+        } = table;
+        walk.shrink_to_fit();
+        Program {
+            code_start: self.code_start,
+            code_bytes: self.code_bytes,
+            n_regular: self.n_regular,
+            by_rank: self.by_rank,
+            dispatch: self.dispatch,
+            walk,
+            func_base,
+            indirect,
         }
     }
 }

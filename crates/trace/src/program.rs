@@ -101,6 +101,9 @@ impl Block {
 
 /// One function: contiguous basic blocks; block 0 is the entry, the last
 /// block returns.
+///
+/// A [`Program`] does not store functions: [`Program::function`] decodes
+/// this view from the flat walk table on demand (diagnostics and tests).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Basic blocks in layout order.
@@ -143,19 +146,87 @@ pub(crate) struct WalkBlock {
     pub(crate) kind: WalkKind,
 }
 
+/// The walk table under construction: the builder appends blocks function
+/// by function and moves the finished parts into the [`Program`].
+#[derive(Debug, Default)]
+pub(crate) struct WalkTable {
+    pub(crate) walk: Vec<WalkBlock>,
+    pub(crate) func_base: Vec<u32>,
+    pub(crate) indirect: Vec<Vec<(FuncId, f32)>>,
+}
+
+impl WalkTable {
+    /// An empty table with room for `functions` functions and `blocks`
+    /// blocks.
+    pub(crate) fn with_capacity(functions: usize, blocks: usize) -> WalkTable {
+        WalkTable {
+            walk: Vec::with_capacity(blocks),
+            func_base: Vec::with_capacity(functions),
+            indirect: Vec::new(),
+        }
+    }
+}
+
+/// Where the builder puts the blocks it draws, in layout order.
+pub(crate) trait BlockSink {
+    /// Opens the next function; its blocks follow via [`BlockSink::push`].
+    fn begin_function(&mut self);
+    /// Appends one block of the open function.
+    fn push(&mut self, start: Addr, n_instrs: u32, terminator: Terminator);
+}
+
+impl BlockSink for WalkTable {
+    fn begin_function(&mut self) {
+        self.func_base.push(self.walk.len() as u32);
+    }
+
+    /// Encodes the terminator into the block's record (the inverse of
+    /// `Program::terminator`).
+    fn push(&mut self, start: Addr, n_instrs: u32, terminator: Terminator) {
+        let (kind, target, prob) = match terminator {
+            Terminator::FallThrough => (WalkKind::FallThrough, 0, 0.0),
+            Terminator::CondBranch { target, taken_prob } => {
+                (WalkKind::CondBranch, target, taken_prob)
+            }
+            Terminator::UncondBranch { target } => (WalkKind::UncondBranch, target, 0.0),
+            Terminator::Call { callee } => (WalkKind::Call, callee.0, 0.0),
+            Terminator::IndirectCall { callees } => {
+                self.indirect.push(callees);
+                (
+                    WalkKind::IndirectCall,
+                    (self.indirect.len() - 1) as u32,
+                    0.0,
+                )
+            }
+            Terminator::Return => (WalkKind::Return, 0, 0.0),
+        };
+        self.walk.push(WalkBlock {
+            start,
+            n_instrs,
+            target,
+            prob,
+            kind,
+        });
+    }
+}
+
 /// A complete synthetic static program.
 ///
 /// Built by [`ProgramBuilder`](crate::ProgramBuilder); walked by
 /// [`TraceWalker`](crate::TraceWalker). Several walkers (one per simulated
 /// core) may share one `Program` — that is how we model multiple cores
 /// running the same binary with shared code but independent control flow.
+///
+/// The flat walk table is the only block store: one 24-byte record per
+/// basic block, every function's blocks concatenated in layout order, plus
+/// `func_base` (first block of each function) and the indirect-callee side
+/// table. [`Program::function`] decodes the structured view from it.
 #[derive(Debug, Clone)]
 pub struct Program {
-    pub(crate) functions: Vec<Function>,
     pub(crate) code_start: Addr,
     pub(crate) code_bytes: u64,
     /// Number of ordinary (non-trap-handler) functions; handlers occupy the
-    /// tail of `functions`.
+    /// tail of the function list.
     pub(crate) n_regular: u32,
     /// Popularity permutation: `by_rank[r]` is the function holding
     /// popularity rank `r` (rank 0 hottest).
@@ -163,9 +234,7 @@ pub struct Program {
     /// Sampler over popularity ranks used for transaction dispatch.
     pub(crate) dispatch: TierSampler,
     /// Flat walk table: every function's blocks, concatenated in layout
-    /// order. A pure access-path mirror of `functions` — the walker reads
-    /// one 24-byte record per control transfer instead of chasing two
-    /// `Vec`s into a 48-byte `Block` with an enum payload.
+    /// order — the walker reads one 24-byte record per control transfer.
     pub(crate) walk: Vec<WalkBlock>,
     /// `func_base[f]` is the index of function `f`'s first block in `walk`.
     pub(crate) func_base: Vec<u32>,
@@ -174,57 +243,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Assembles a program from its structural parts, deriving the flat
-    /// walk table (the builder's single construction point).
-    pub(crate) fn assemble(
-        functions: Vec<Function>,
-        code_start: Addr,
-        code_bytes: u64,
-        n_regular: u32,
-        by_rank: Vec<FuncId>,
-        dispatch: TierSampler,
-    ) -> Program {
-        let mut func_base = Vec::with_capacity(functions.len());
-        let mut walk = Vec::new();
-        let mut indirect = Vec::new();
-        for f in &functions {
-            func_base.push(walk.len() as u32);
-            for b in &f.blocks {
-                let (kind, target, prob) = match &b.terminator {
-                    Terminator::FallThrough => (WalkKind::FallThrough, 0, 0.0),
-                    Terminator::CondBranch { target, taken_prob } => {
-                        (WalkKind::CondBranch, *target, *taken_prob)
-                    }
-                    Terminator::UncondBranch { target } => (WalkKind::UncondBranch, *target, 0.0),
-                    Terminator::Call { callee } => (WalkKind::Call, callee.0, 0.0),
-                    Terminator::IndirectCall { callees } => {
-                        indirect.push(callees.clone());
-                        (WalkKind::IndirectCall, (indirect.len() - 1) as u32, 0.0)
-                    }
-                    Terminator::Return => (WalkKind::Return, 0, 0.0),
-                };
-                walk.push(WalkBlock {
-                    start: b.start,
-                    n_instrs: b.n_instrs,
-                    target,
-                    prob,
-                    kind,
-                });
-            }
-        }
-        Program {
-            functions,
-            code_start,
-            code_bytes,
-            n_regular,
-            by_rank,
-            dispatch,
-            walk,
-            func_base,
-            indirect,
-        }
-    }
-
     /// The walk-table record for block `block` of function `func`.
     #[inline]
     pub(crate) fn walk_block(&self, func: u32, block: u32) -> &WalkBlock {
@@ -237,19 +255,59 @@ impl Program {
         self.walk[self.func_base[id.0 as usize] as usize].start
     }
 
-    /// The function with id `id`.
+    /// The walk-table index range holding function `f`'s blocks.
+    fn block_range(&self, f: usize) -> std::ops::Range<usize> {
+        let end = self
+            .func_base
+            .get(f + 1)
+            .map_or(self.walk.len(), |&next| next as usize);
+        self.func_base[f] as usize..end
+    }
+
+    /// The function with id `id`, decoded from the walk table.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    #[inline]
-    pub fn function(&self, id: FuncId) -> &Function {
-        &self.functions[id.0 as usize]
+    pub fn function(&self, id: FuncId) -> Function {
+        let blocks = self.walk[self.block_range(id.0 as usize)]
+            .iter()
+            .map(|b| Block {
+                start: b.start,
+                n_instrs: b.n_instrs,
+                terminator: self.terminator(b),
+            })
+            .collect();
+        Function { blocks }
+    }
+
+    /// Decodes a walk-table record's terminator.
+    fn terminator(&self, b: &WalkBlock) -> Terminator {
+        match b.kind {
+            WalkKind::FallThrough => Terminator::FallThrough,
+            WalkKind::CondBranch => Terminator::CondBranch {
+                target: b.target,
+                taken_prob: b.prob,
+            },
+            WalkKind::UncondBranch => Terminator::UncondBranch { target: b.target },
+            WalkKind::Call => Terminator::Call {
+                callee: FuncId(b.target),
+            },
+            WalkKind::IndirectCall => Terminator::IndirectCall {
+                callees: self.indirect[b.target as usize].clone(),
+            },
+            WalkKind::Return => Terminator::Return,
+        }
     }
 
     /// Total number of functions, including trap handlers.
     pub fn n_functions(&self) -> u32 {
-        self.functions.len() as u32
+        self.func_base.len() as u32
+    }
+
+    /// Total basic blocks across all functions (the walk table's length).
+    pub fn n_blocks(&self) -> u32 {
+        self.walk.len() as u32
     }
 
     /// Number of ordinary (callable) functions.
@@ -293,7 +351,7 @@ impl Program {
     ///
     /// Panics if the program was built without trap handlers.
     pub fn trap_handler(&self, rng: &mut Rng64) -> FuncId {
-        let n_handlers = self.functions.len() as u32 - self.n_regular;
+        let n_handlers = self.n_functions() - self.n_regular;
         assert!(n_handlers > 0, "program has no trap handlers");
         FuncId(self.n_regular + rng.range(n_handlers as u64) as u32)
     }
@@ -305,12 +363,17 @@ impl Program {
     /// call target is a valid function; the last block of every function
     /// returns; code addresses start at `code_start` and span `code_bytes`.
     pub fn validate(&self) -> Result<(), String> {
+        if self.func_base.first().is_some_and(|&b| b != 0) {
+            return Err("function 0 does not start the walk table".to_string());
+        }
         let mut cursor = self.code_start;
-        for (fi, f) in self.functions.iter().enumerate() {
-            if f.blocks.is_empty() {
+        for fi in 0..self.func_base.len() {
+            let range = self.block_range(fi);
+            if range.is_empty() {
                 return Err(format!("function {fi} has no blocks"));
             }
-            for (bi, b) in f.blocks.iter().enumerate() {
+            let nb = range.len() as u32;
+            for (bi, b) in self.walk[range].iter().enumerate() {
                 if b.start != cursor {
                     return Err(format!(
                         "function {fi} block {bi}: start {} != cursor {}",
@@ -321,27 +384,29 @@ impl Program {
                     return Err(format!("function {fi} block {bi} empty"));
                 }
                 cursor = cursor.offset(b.n_instrs as u64 * INSTR_BYTES);
-                let nb = f.blocks.len() as u32;
-                match &b.terminator {
-                    Terminator::CondBranch { target, taken_prob } => {
-                        if *target >= nb {
+                match b.kind {
+                    WalkKind::CondBranch => {
+                        if b.target >= nb {
                             return Err(format!("function {fi} block {bi}: bad target"));
                         }
-                        if !(0.0..=1.0).contains(taken_prob) {
+                        if !(0.0..=1.0).contains(&b.prob) {
                             return Err(format!("function {fi} block {bi}: bad prob"));
                         }
                     }
-                    Terminator::UncondBranch { target } => {
-                        if *target >= nb {
+                    WalkKind::UncondBranch => {
+                        if b.target >= nb {
                             return Err(format!("function {fi} block {bi}: bad target"));
                         }
                     }
-                    Terminator::Call { callee } => {
-                        if callee.0 >= self.n_regular {
+                    WalkKind::Call => {
+                        if b.target >= self.n_regular {
                             return Err(format!("function {fi} block {bi}: bad callee"));
                         }
                     }
-                    Terminator::IndirectCall { callees } => {
+                    WalkKind::IndirectCall => {
+                        let Some(callees) = self.indirect.get(b.target as usize) else {
+                            return Err(format!("function {fi} block {bi}: bad callee table"));
+                        };
                         if callees.is_empty() {
                             return Err(format!("function {fi} block {bi}: no callees"));
                         }
@@ -351,11 +416,11 @@ impl Program {
                             }
                         }
                     }
-                    Terminator::FallThrough | Terminator::Return => {}
+                    WalkKind::FallThrough | WalkKind::Return => {}
                 }
                 // Non-final fall-through/branch blocks need a successor.
                 let is_last = bi as u32 == nb - 1;
-                if is_last && !matches!(b.terminator, Terminator::Return) {
+                if is_last && b.kind != WalkKind::Return {
                     return Err(format!("function {fi}: last block does not return"));
                 }
             }

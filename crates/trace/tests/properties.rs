@@ -1,8 +1,9 @@
 //! Property-based tests over the trace generator: for any seed and any
 //! workload, the synthesised program is structurally valid and the dynamic
-//! stream is self-consistent.
+//! stream is self-consistent; the walk table that is a program's only
+//! block store decodes back to exactly the functions the builder drew.
 
-use ipsim_trace::{TraceWalker, Workload};
+use ipsim_trace::{FuncId, ProgramBuilder, Terminator, TraceWalker, Workload};
 use proptest::prelude::*;
 
 fn any_workload() -> impl Strategy<Value = Workload> {
@@ -55,5 +56,69 @@ proptest! {
             let pc = walker.next_op().pc.0;
             prop_assert!(pc >= lo && pc < hi, "pc {pc:#x} outside [{lo:#x}, {hi:#x})");
         }
+    }
+
+    /// The walk-table-only program decodes to the builder's functions
+    /// block for block — start, length and terminator, indirect callee
+    /// tables included — and still validates.
+    #[test]
+    fn function_view_matches_the_drawn_functions(w in any_workload(), seed in 0u64..1000) {
+        let (prog, drawn) = ProgramBuilder::new(w.profile(), seed).build_with_functions();
+        prop_assert_eq!(prog.validate(), Ok(()));
+        prop_assert_eq!(prog.n_functions() as usize, drawn.len());
+        let mut indirect = 0;
+        for (id, want) in drawn.iter().enumerate() {
+            let got = prog.function(FuncId(id as u32));
+            prop_assert_eq!(&got, want, "function {}", id);
+            indirect += got
+                .blocks
+                .iter()
+                .filter(|b| matches!(b.terminator, Terminator::IndirectCall { .. }))
+                .count();
+        }
+        prop_assert!(indirect > 0, "no indirect call sites exercised");
+        // The recording build is the plain build plus a copy.
+        let plain = w.build_program(seed);
+        prop_assert_eq!(plain.code_bytes(), prog.code_bytes());
+        prop_assert_eq!(plain.function(FuncId(0)), prog.function(FuncId(0)));
+    }
+}
+
+/// FNV-1a over the `Debug` rendering of every decoded function.
+fn function_fingerprint(w: Workload, seed: u64) -> u64 {
+    let prog = w.build_program(seed);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for f in 0..prog.n_functions() {
+        for b in format!("{:?}", prog.function(FuncId(f))).bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins the decoded function view of every workload, at the default
+/// program seed and one other, to the fingerprints of the programs built
+/// when `Program` still stored its functions directly: the walk-table-only
+/// layout changes where blocks live, not which blocks are drawn.
+#[test]
+fn function_view_matches_the_pre_walk_table_programs() {
+    let golden = [
+        (Workload::Db, 0x5EED_0001, 0xb3ff_e669_fd40_bf5a),
+        (Workload::Db, 7, 0x8258_7ff4_f951_48b4),
+        (Workload::TpcW, 0x5EED_0001, 0x1eb6_ae4c_b1af_5cfd),
+        (Workload::TpcW, 7, 0xd7be_b526_a970_bb85),
+        (Workload::JApp, 0x5EED_0001, 0xb016_741a_ad8a_1613),
+        (Workload::JApp, 7, 0x700b_8a41_c016_031b),
+        (Workload::Web, 0x5EED_0001, 0x0355_2e43_ba06_dc69),
+        (Workload::Web, 7, 0x005e_ee80_d67a_d9a7),
+    ];
+    for (w, seed, want) in golden {
+        assert_eq!(
+            function_fingerprint(w, seed),
+            want,
+            "{} seed {seed:#x}: decoded functions differ",
+            w.name()
+        );
     }
 }

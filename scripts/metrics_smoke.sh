@@ -6,8 +6,11 @@
 #   2. after a real job executes, the request/queue/execute histograms
 #      and job counters have moved, and `ops_report --require` validates
 #      the scrape offline;
-#   3. `/v1/stats` carries per-endpoint latency percentiles;
-#   4. a graceful drain exports `spans.trace.json`, which the shared
+#   3. a second job on the same workload reuses the daemon's synthesised
+#      program instead of building it again (`ops_report --require` on
+#      the program build/reuse counters);
+#   4. `/v1/stats` carries per-endpoint latency percentiles;
+#   5. a graceful drain exports `spans.trace.json`, which the shared
 #      Chrome-trace validator (via telemetry_check) accepts and
 #      `ops_report --spans` folds into a per-span table.
 #
@@ -24,6 +27,8 @@ ROOT=$(mktemp -d /tmp/ipsim-metrics-smoke.XXXXXX)
 DAEMON_PID=""
 
 SPEC='{"v":1,"runs":[{"config":"single_core","workload":"db","prefetcher":"nl_tagged","policy":"install_both","warm":50000,"measure":100000}]}'
+# Same workload, different prefetcher: a new run over the same program.
+SPEC2='{"v":1,"runs":[{"config":"single_core","workload":"db","prefetcher":"none","policy":"install_both","warm":50000,"measure":100000}]}'
 
 # Families the scrape must always carry (pre-registered at Service::open).
 REQUIRED="ipsim_serve_requests_total,ipsim_serve_request_micros,ipsim_serve_queue_depth,ipsim_serve_inflight_jobs,ipsim_serve_jobs_submitted_total,ipsim_serve_dedup_total,ipsim_serve_rejected_total,ipsim_serve_jobs_total,ipsim_serve_queue_wait_micros,ipsim_serve_job_execute_micros"
@@ -60,17 +65,23 @@ esac
     fail "cold scrape missing required families"
 echo "   ok: cold scrape parses and carries all $(echo "${REQUIRED}" | tr ',' '\n' | wc -l) families"
 
+# Submits a job spec and waits until it is done.
+run_job() {
+    local id state
+    id=$(curl -s -X POST -H 'Content-Type: application/json' -H 'X-Client-Id: smoke' \
+        -d "$1" "http://${ADDR}/v1/jobs" | jq -r .id)
+    [ "${id}" != "null" ] || fail "submit returned no job id"
+    for _ in $(seq 1 600); do
+        state=$(curl -s "http://${ADDR}/v1/jobs/${id}" | jq -r .state)
+        [ "${state}" = "done" ] && return 0
+        [ "${state}" = "failed" ] && fail "job failed"
+        sleep 0.2
+    done
+    fail "job never finished"
+}
+
 echo "== run a job, metrics move =="
-ID=$(curl -s -X POST -H 'Content-Type: application/json' -H 'X-Client-Id: smoke' \
-    -d "${SPEC}" "http://${ADDR}/v1/jobs" | jq -r .id)
-[ "${ID}" != "null" ] || fail "submit returned no job id"
-for _ in $(seq 1 600); do
-    STATE=$(curl -s "http://${ADDR}/v1/jobs/${ID}" | jq -r .state)
-    [ "${STATE}" = "done" ] && break
-    [ "${STATE}" = "failed" ] && fail "job failed"
-    sleep 0.2
-done
-[ "${STATE}" = "done" ] || fail "job never finished"
+run_job "${SPEC}"
 
 curl -s "http://${ADDR}/v1/metrics" >"${ROOT}/warm.prom"
 "${OPS_REPORT}" --metrics "${ROOT}/warm.prom" --require "${REQUIRED}" >"${ROOT}/ops.txt" ||
@@ -81,6 +92,16 @@ grep -q 'ipsim_serve_job_execute_micros_count 1' "${ROOT}/warm.prom" ||
     fail "execute histogram did not record the run"
 grep -q '== histograms ==' "${ROOT}/ops.txt" || fail "ops_report rendered no histogram table"
 echo "   ok: job counters and execute histogram moved; ops_report renders"
+
+echo "== a second job on the same workload reuses its program =="
+run_job "${SPEC2}"
+curl -s "http://${ADDR}/v1/metrics" >"${ROOT}/reuse.prom"
+"${OPS_REPORT}" --metrics "${ROOT}/reuse.prom" \
+    --require "ipsim_harness_program_builds_total>0,ipsim_harness_program_reuses_total>0" \
+    >/dev/null || fail "program cache did not reuse the first job's program"
+grep -q '^ipsim_harness_program_builds_total 1$' "${ROOT}/reuse.prom" ||
+    fail "the daemon built the db program more than once"
+echo "   ok: one program build, reused by the second job"
 
 echo "== /v1/stats carries latency percentiles =="
 curl -s "http://${ADDR}/v1/stats" | jq -e '.latency_micros.jobs.p50' >/dev/null ||
