@@ -1,9 +1,12 @@
-//! Replay decode throughput vs live walker generation.
+//! Per-op decode throughput vs live walker generation.
 //!
-//! The trace store's value proposition is that decoding a captured stream
-//! is cheaper than regenerating it through the Markov walker. This bench
-//! measures both sides per op for the DB profile, plus a full-trace decode
-//! pass (open + every block CRC + every op).
+//! Decoding a captured stream op by op is *not* cheaper than regenerating
+//! it through the Markov walker over a shared program: the walker wins
+//! (about 26 vs 33 ns/op on a 2-vCPU x86-64 container). That is why the
+//! trace store replays only from arenas decoded once into memory and runs
+//! any stream too long for its arena budget live. This bench measures
+//! both sides per op for the DB profile, plus a full-trace decode pass
+//! (open + every block CRC + every op) — the cost of building an arena.
 
 use std::io::Cursor;
 

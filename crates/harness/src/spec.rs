@@ -71,14 +71,14 @@ impl RunSpec {
         self
     }
 
-    /// The canonical plain-text descriptor covering every parameter that
-    /// affects results; the cache key is a hash of this string.
-    fn descriptor(&self) -> String {
+    /// The hardware and prefetcher fields both descriptors open with:
+    /// cores, caches, latencies, bandwidth, pipeline, predictors, then
+    /// prefetcher, install policy and limit study.
+    fn hardware_fields(&self) -> String {
         let c = &self.config;
-        let mut descr = format!(
-            "v4|cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
-             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}|pf={:?}|pol={:?}|lim={:?}|\
-             ws={:?}/{}/{}|warm={}|meas={}",
+        format!(
+            "cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
+             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}|pf={:?}|pol={:?}|lim={:?}",
             c.n_cores,
             c.core.l1i.size_bytes(),
             c.core.l1i.assoc(),
@@ -104,23 +104,37 @@ impl RunSpec {
             self.prefetcher,
             self.policy,
             self.limit,
+        )
+    }
+
+    /// Appends the TLB and zoo fields, each only when present so specs
+    /// from before either existed keep their keys.
+    fn push_optional_fields(&self, descr: &mut String) {
+        if self.config.core.tlb.enabled {
+            descr.push_str(&format!("|tlb={:?}", self.config.core.tlb));
+        }
+        if let Some(plan) = &self.zoo {
+            descr.push_str(&format!("|zoo={}", plan.canonical()));
+        }
+    }
+
+    /// The canonical plain-text descriptor covering every parameter that
+    /// affects results; the cache key is a hash of this string.
+    fn descriptor(&self) -> String {
+        let mut descr = format!(
+            "v4|{}|ws={:?}/{}/{}|warm={}|meas={}",
+            self.hardware_fields(),
             self.workloads.per_core,
             self.workloads.program_seed,
             self.workloads.walker_seed,
             self.lengths.warm,
             self.lengths.measure,
         );
-        if c.core.tlb.enabled {
-            descr.push_str(&format!("|tlb={:?}", c.core.tlb));
-        }
-        // Appended only when present so pre-zoo specs keep their keys.
-        if let Some(plan) = &self.zoo {
-            descr.push_str(&format!("|zoo={}", plan.canonical()));
-        }
+        self.push_optional_fields(&mut descr);
         // Appended only when non-default so the pre-knob key corpus
         // survives: sq=16 specs hash exactly as before the knob existed.
-        if c.sched_quantum != DEFAULT_SCHED_QUANTUM {
-            descr.push_str(&format!("|sq={}", c.sched_quantum));
+        if self.config.sched_quantum != DEFAULT_SCHED_QUANTUM {
+            descr.push_str(&format!("|sq={}", self.config.sched_quantum));
         }
         descr
     }
@@ -139,45 +153,12 @@ impl RunSpec {
     /// determine what [`RunSpec::build_system`] constructs (configuration,
     /// prefetcher/zoo, policy, limit). Workloads and run lengths are
     /// deliberately absent — they describe what flows *through* a system,
-    /// not the system itself.
+    /// not the system itself. Only ever compared within one process, so
+    /// its format is free to change.
     fn system_descriptor(&self) -> String {
-        let c = &self.config;
-        let mut descr = format!(
-            "system-v1|cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
-             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}|sq={}|pf={:?}|pol={:?}|lim={:?}",
-            c.n_cores,
-            c.core.l1i.size_bytes(),
-            c.core.l1i.assoc(),
-            c.core.l1i.line().bytes(),
-            c.core.l1d.size_bytes(),
-            c.core.l1d.assoc(),
-            c.core.l1d.line().bytes(),
-            c.mem.l2.size_bytes(),
-            c.mem.l2.assoc(),
-            c.mem.l2.line().bytes(),
-            c.core.l1_latency,
-            c.mem.l2_latency,
-            c.mem.mem_latency,
-            c.mem.offchip_bytes_per_cycle,
-            c.core.fetch_width,
-            c.core.issue_width,
-            c.core.rob_entries,
-            c.core.pipeline_depth,
-            c.core.mshrs,
-            c.core.branch.gshare_entries,
-            c.core.branch.btb_entries,
-            c.core.branch.ras_entries,
-            c.sched_quantum,
-            self.prefetcher,
-            self.policy,
-            self.limit,
-        );
-        if c.core.tlb.enabled {
-            descr.push_str(&format!("|tlb={:?}", c.core.tlb));
-        }
-        if let Some(plan) = &self.zoo {
-            descr.push_str(&format!("|zoo={}", plan.canonical()));
-        }
+        let mut descr = format!("system-v2|{}", self.hardware_fields());
+        self.push_optional_fields(&mut descr);
+        descr.push_str(&format!("|sq={}", self.config.sched_quantum));
         descr
     }
 

@@ -13,14 +13,29 @@
 //! results/traces/<trace_key>.c<core>.itrace
 //! ```
 //!
+//! Every run is served from exactly one of two places: a decoded in-memory
+//! arena, or the live walker over the store's shared programs. In order:
+//!
+//! 1. the store is disabled → live;
+//! 2. the stream (`n_cores × (warm + measure)` ops) exceeds the arena
+//!    budget ([`ARENA_OPS_ENV`]) → live, with no claim, no files and no
+//!    arena — replaying a stream the arena cannot hold is slower than
+//!    walking it;
+//! 3. the stream's arena is cached → replay from it;
+//! 4. its files exist and fit the remaining budget → decode them into an
+//!    arena and replay;
+//! 5. its files exist but no longer fit → live, files left untouched;
+//! 6. its files are missing → capture if this thread wins the claim,
+//!    live otherwise.
+//!
 //! Hardening mirrors the run cache ([`crate::cache`]):
 //!
 //! * captures write to pid-suffixed temp files and rename into place, so
 //!   an interrupted capture never leaves a plausible-looking trace;
-//! * replay verifies every block CRC before the simulation starts (at
-//!   checksum speed, no decode), so a corrupt file is quarantined to
-//!   `*.corrupt` (evidence, not deleted) and the run transparently falls
-//!   back to live generation — there is no mid-run failure path;
+//! * replay decodes the whole stream before the simulation starts,
+//!   checking every block CRC and the op count, so a corrupt or
+//!   wrong-length file is quarantined to `*.corrupt` (evidence, not
+//!   deleted) and the run re-captures — there is no mid-run failure path;
 //! * capture I/O errors degrade the run to plain live generation
 //!   (the simulation result is identical either way).
 //!
@@ -39,7 +54,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use ipsim_cpu::{OpSource, System, WorkloadSet};
-use ipsim_stream::{ArenaSource, ReplaySource, Tee, TraceReader, TraceWriter};
+use ipsim_stream::{ArenaSource, Tee, TraceReader, TraceWriter};
 use ipsim_telemetry::{TelemetryConfig, TelemetryRun};
 use ipsim_trace::{Program, TraceWalker, Workload};
 use ipsim_types::instr::TraceOp;
@@ -55,16 +70,17 @@ pub const TRACE_DIR_ENV: &str = "IPSIM_TRACE_DIR";
 pub const DEFAULT_TRACE_DIR: &str = "results/traces";
 
 /// Environment variable overriding the in-memory arena budget, in total
-/// decoded ops held across all cached streams. `0` disables arenas (every
-/// replay streams through the codec).
+/// decoded ops held across all cached streams. Read once, when a store is
+/// built. Streams that do not fit run live; `0` replays nothing.
 pub const ARENA_OPS_ENV: &str = "IPSIM_ARENA_OPS";
 
 /// Default arena budget: 16 million ops (~a few hundred MB at `TraceOp`
-/// width) — far above the paper sweeps' stream lengths, far below a
-/// machine-threatening allocation.
+/// width) — every one-core `--quick` stream fits, while full-length and
+/// multi-core `--quick` streams run live; far below a machine-threatening
+/// allocation.
 pub const DEFAULT_ARENA_OPS: u64 = 16_000_000;
 
-fn arena_budget() -> u64 {
+fn arena_budget_from_env() -> u64 {
     std::env::var(ARENA_OPS_ENV)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -138,15 +154,15 @@ impl AsRef<[TraceOp]> for CoreOps {
     }
 }
 
-/// Arena admission outcome for one replay attempt.
+/// Arena admission outcome for one stream that fits the budget.
 enum ArenaOutcome {
     /// Decoded (or already cached) streams, ready to serve zero-copy.
     Hit(CachedArena),
+    /// Every per-core file exists, but the arena has no room left for
+    /// them — run live and leave the files alone.
+    Full,
     /// A per-core file is missing or corrupt — capture instead.
     Missing,
-    /// The run's streams don't fit the arena budget — stream the replay
-    /// through the codec as before.
-    OverBudget,
 }
 
 /// Where a run's result (and instruction stream) came from.
@@ -154,12 +170,13 @@ enum ArenaOutcome {
 pub enum RunSource {
     /// Summary served from the on-disk run cache; nothing simulated.
     Cache,
-    /// Simulated with live walker generation (store disabled or
-    /// unavailable).
+    /// Simulated with live walker generation: the store is disabled, the
+    /// stream does not fit the arena budget, or its capture was claimed by
+    /// another worker or could not be written.
     Live,
     /// Simulated live while writing the stream to the trace store.
     Capture,
-    /// Simulated from a stored trace, no walker involved.
+    /// Simulated from a decoded arena, no walker involved.
     Replay,
 }
 
@@ -181,14 +198,16 @@ pub struct TracedRun {
     pub summary: Summary,
     /// How the instruction stream was produced.
     pub source: RunSource,
-    /// Throughput of the pre-replay verification scan (million ops per
-    /// second through the CRC check of every block); 0 for non-replay
-    /// runs. A drop in this column means trace I/O or checksumming got
-    /// slower, independent of simulation speed.
+    /// Throughput of the arena decode this replay was served from
+    /// (million ops per second through the whole-stream decode, block CRC
+    /// checks included), measured once when the arena was built and shared
+    /// by every replay of it; 0 for non-replay runs. A drop in this column
+    /// means trace I/O or decoding got slower, independent of simulation
+    /// speed.
     pub decode_mips: f64,
     /// Kernel-only simulation throughput (million simulated instructions
     /// per host second over the *measured* window, excluding system
-    /// construction, warm-up, trace validation and capture I/O); 0 for
+    /// construction, warm-up, trace decode and capture I/O); 0 for
     /// cache hits. Compare against the run-level `mips` to see how much
     /// wall time goes to overhead around the simulation loop.
     pub sim_mips: f64,
@@ -213,6 +232,9 @@ pub struct TracedRun {
 pub struct TraceStore {
     /// `None` disables capture and replay entirely.
     dir: Option<PathBuf>,
+    /// Most decoded ops the arena cache may hold ([`ARENA_OPS_ENV`], read
+    /// when the store is built).
+    arena_budget: u64,
     captured: AtomicU64,
     replayed: AtomicU64,
     quarantined: AtomicU64,
@@ -274,10 +296,10 @@ struct ArenaCache {
 }
 
 impl TraceStore {
-    /// A store rooted at `dir`.
-    pub fn at(dir: impl Into<PathBuf>) -> TraceStore {
+    fn new(dir: Option<PathBuf>) -> TraceStore {
         TraceStore {
-            dir: Some(dir.into()),
+            dir,
+            arena_budget: arena_budget_from_env(),
             captured: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -287,17 +309,14 @@ impl TraceStore {
         }
     }
 
+    /// A store rooted at `dir`.
+    pub fn at(dir: impl Into<PathBuf>) -> TraceStore {
+        TraceStore::new(Some(dir.into()))
+    }
+
     /// A disabled store: every run executes live.
     pub fn disabled() -> TraceStore {
-        TraceStore {
-            dir: None,
-            captured: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            claims: Mutex::new(HashSet::new()),
-            arenas: Mutex::new(ArenaCache::default()),
-            program_cache: ProgramCache::default(),
-        }
+        TraceStore::new(None)
     }
 
     /// The store at `$IPSIM_TRACE_DIR` (`off`/`0` disable it), or
@@ -353,15 +372,10 @@ impl TraceStore {
         workloads.programs_via(n_cores, |w, seed| self.program_cache.get(w, seed))
     }
 
-    /// Path of the per-core trace file for a trace key.
-    fn core_path(&self, dir: &Path, key: &str, core: u32) -> PathBuf {
-        let _ = self;
-        dir.join(format!("{key}.c{core}.itrace"))
-    }
-
-    /// Executes `spec`, preferring replay, then capture, then plain live
-    /// generation. Never fails harder than [`RunSpec::execute`] itself:
-    /// every store problem downgrades the run, it never aborts it.
+    /// Executes `spec` from the arena or live, capturing first when its
+    /// stream fits the arena but has no files yet (see the module docs).
+    /// Never fails harder than [`RunSpec::execute`] itself: every store
+    /// problem downgrades the run, it never aborts it.
     pub fn execute(&self, spec: &RunSpec) -> TracedRun {
         self.execute_with(spec, None)
     }
@@ -386,36 +400,17 @@ impl TraceStore {
         telemetry: Option<&TelemetryConfig>,
         slot: &mut SystemSlot,
     ) -> TracedRun {
-        let Some(dir) = self.dir.clone() else {
-            return self.live_run(spec, telemetry, slot);
-        };
-        let key = spec.trace_key();
-        match self.try_replay(&dir, spec, &key, telemetry, slot) {
-            Some(run) => run,
-            None => self.capture_or_live(&dir, spec, &key, telemetry, slot),
-        }
-    }
-
-    /// Attempts to serve `spec` from stored traces. Returns `None` when
-    /// any per-core file is missing or fails validation (corrupt files are
-    /// quarantined on the way out).
-    fn try_replay(
-        &self,
-        dir: &Path,
-        spec: &RunSpec,
-        key: &str,
-        telemetry: Option<&TelemetryConfig>,
-        slot: &mut SystemSlot,
-    ) -> Option<TracedRun> {
-        let _replay = ipsim_obs::spans().span("trace.replay");
         let n_cores = spec.config.n_cores;
         let per_core_ops = spec.lengths.warm + spec.lengths.measure;
-        // Zero-copy fast path: decode the whole stream set once into a
-        // shared arena and lend the scheduler borrowed slices. Over-budget
-        // runs fall through to the per-op streaming decoder below.
-        match self.arena_for(dir, key, n_cores, per_core_ops) {
+        let dir = match self.dir.as_deref() {
+            Some(dir) if per_core_ops * u64::from(n_cores) <= self.arena_budget => dir,
+            _ => return self.live_run(spec, telemetry, slot),
+        };
+        let key = spec.trace_key();
+        let replay = ipsim_obs::spans().span("trace.replay");
+        match self.arena_for(dir, &key, n_cores, per_core_ops) {
             ArenaOutcome::Hit(arena) => {
-                let mut sources: Vec<ArenaSource<CoreOps>> = (0..n_cores as usize)
+                let mut sources: Vec<ArenaSource<CoreOps>> = (0..arena.ops.len())
                     .map(|core| {
                         ArenaSource::new(CoreOps {
                             arena: arena.ops.clone(),
@@ -423,69 +418,26 @@ impl TraceStore {
                         })
                     })
                     .collect();
-                let mut system = instrumented(spec, telemetry, slot);
-                let mut dyns: Vec<&mut dyn OpSource> =
-                    sources.iter_mut().map(|s| s as &mut dyn OpSource).collect();
-                let metrics =
-                    system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
+                let run = simulate(
+                    spec,
+                    telemetry,
+                    slot,
+                    &mut sources,
+                    RunSource::Replay,
+                    arena.decode_mips,
+                );
                 self.replayed.fetch_add(1, Ordering::Relaxed);
-                let run = TracedRun {
-                    summary: Summary::from_metrics(&metrics),
-                    source: RunSource::Replay,
-                    decode_mips: arena.decode_mips,
-                    sim_mips: metrics.sim_mips(),
-                    sim_seconds: metrics.sim_wall_seconds,
-                    telemetry: system.take_telemetry(),
-                };
-                slot.put(system);
-                return Some(run);
+                run
             }
-            ArenaOutcome::Missing => return None,
-            ArenaOutcome::OverBudget => {}
-        }
-        let mut sources: Vec<ReplaySource<BufReader<File>>> = Vec::with_capacity(n_cores as usize);
-        let t0 = Instant::now();
-        for core in 0..n_cores {
-            let path = self.core_path(dir, key, core);
-            let file = File::open(&path).ok()?;
-            let replay = match TraceReader::open(BufReader::new(file)).and_then(ReplaySource::new) {
-                Ok(replay) => replay,
-                Err(_) => {
-                    // Bad header, CRC or count: move the evidence aside so
-                    // the follow-up capture can rewrite the slot.
-                    self.quarantine(&path);
-                    return None;
-                }
-            };
-            if replay.stats().ops != per_core_ops {
-                // A valid file for a different run length can only appear
-                // here through key tampering; treat it as corrupt.
-                self.quarantine(&path);
-                return None;
+            ArenaOutcome::Full => {
+                drop(replay);
+                self.live_run(spec, telemetry, slot)
             }
-            sources.push(replay);
+            ArenaOutcome::Missing => {
+                drop(replay);
+                self.capture_or_live(dir, spec, &key, telemetry, slot)
+            }
         }
-        let decode_s = t0.elapsed().as_secs_f64();
-        let decoded_ops: u64 = sources.iter().map(|s| s.stats().ops).sum();
-        let mut system = instrumented(spec, telemetry, slot);
-        let mut dyns: Vec<&mut dyn OpSource> =
-            sources.iter_mut().map(|s| s as &mut dyn OpSource).collect();
-        let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
-        self.replayed.fetch_add(1, Ordering::Relaxed);
-        let run = TracedRun {
-            summary: Summary::from_metrics(&metrics),
-            source: RunSource::Replay,
-            decode_mips: if decode_s > 0.0 {
-                decoded_ops as f64 / 1e6 / decode_s
-            } else {
-                0.0
-            },
-            sim_mips: metrics.sim_mips(),
-            sim_seconds: metrics.sim_wall_seconds,
-            telemetry: system.take_telemetry(),
-        };
-        slot.put(system);
-        Some(run)
     }
 
     /// Finds or builds the decoded arena for `key`. Decode happens outside
@@ -494,21 +446,27 @@ impl TraceStore {
     /// from its private copy without caching it.
     fn arena_for(&self, dir: &Path, key: &str, n_cores: u32, per_core_ops: u64) -> ArenaOutcome {
         let total_ops = per_core_ops * u64::from(n_cores);
-        let budget = arena_budget();
-        {
+        let paths: Vec<PathBuf> = (0..n_cores).map(|core| core_path(dir, key, core)).collect();
+        let fits = {
             let cache = self.arenas.lock().unwrap();
             if let Some(cached) = cache.map.get(key) {
                 return ArenaOutcome::Hit(cached.clone());
             }
-            if cache.total_ops + total_ops > budget {
-                return ArenaOutcome::OverBudget;
-            }
+            cache.total_ops + total_ops <= self.arena_budget
+        };
+        if !fits {
+            // Files that will not be read are neither checked nor
+            // quarantined, so a full arena never rewrites a good trace.
+            return if paths.iter().all(|path| path.is_file()) {
+                ArenaOutcome::Full
+            } else {
+                ArenaOutcome::Missing
+            };
         }
         let t0 = Instant::now();
         let mut cores: Vec<Vec<TraceOp>> = Vec::with_capacity(n_cores as usize);
-        for core in 0..n_cores {
-            let path = self.core_path(dir, key, core);
-            let Ok(file) = File::open(&path) else {
+        for path in &paths {
+            let Ok(file) = File::open(path) else {
                 return ArenaOutcome::Missing;
             };
             let decoded = TraceReader::open(BufReader::new(file)).and_then(|mut reader| {
@@ -520,7 +478,7 @@ impl TraceStore {
                 // Corrupt, truncated, or a valid file of the wrong length
                 // (key tampering): quarantine and recapture.
                 Ok(_) | Err(_) => {
-                    self.quarantine(&path);
+                    self.quarantine(path);
                     return ArenaOutcome::Missing;
                 }
             }
@@ -538,7 +496,7 @@ impl TraceStore {
         if let Some(existing) = cache.map.get(key) {
             return ArenaOutcome::Hit(existing.clone());
         }
-        if cache.total_ops + total_ops <= budget {
+        if cache.total_ops + total_ops <= self.arena_budget {
             cache.total_ops += total_ops;
             cache.map.insert(key.to_string(), arena.clone());
         }
@@ -592,15 +550,7 @@ impl TraceStore {
             .enumerate()
             .map(|(c, w)| Tee::new(spec.workloads.walker(&programs, c as u32), w))
             .collect();
-        let mut system = instrumented(spec, telemetry, slot);
-        let mut dyns: Vec<&mut dyn OpSource> =
-            tees.iter_mut().map(|t| t as &mut dyn OpSource).collect();
-        let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
-        let summary = Summary::from_metrics(&metrics);
-        let sim_mips = metrics.sim_mips();
-        let sim_seconds = metrics.sim_wall_seconds;
-        let collected = system.take_telemetry();
-        slot.put(system);
+        let mut run = simulate(spec, telemetry, slot, &mut tees, RunSource::Capture, 0.0);
 
         // Seal and publish. Any sink error (latched mid-run or at finish)
         // voids the whole capture but never the simulation result.
@@ -613,33 +563,19 @@ impl TraceStore {
         }
         if sealed {
             for (core, tmp) in tmp_paths.iter().enumerate() {
-                let path = self.core_path(dir, key, core as u32);
-                if fs::rename(tmp, &path).is_err() {
+                if fs::rename(tmp, core_path(dir, key, core as u32)).is_err() {
                     sealed = false;
                     break;
                 }
             }
         }
-        if !sealed {
+        if sealed {
+            self.captured.fetch_add(1, Ordering::Relaxed);
+        } else {
             discard(&tmp_paths);
-            return TracedRun {
-                summary,
-                source: RunSource::Live,
-                decode_mips: 0.0,
-                sim_mips,
-                sim_seconds,
-                telemetry: collected,
-            };
+            run.source = RunSource::Live;
         }
-        self.captured.fetch_add(1, Ordering::Relaxed);
-        TracedRun {
-            summary,
-            source: RunSource::Capture,
-            decode_mips: 0.0,
-            sim_mips,
-            sim_seconds,
-            telemetry: collected,
-        }
+        run
     }
 
     /// Executes `spec` with plain live generation over the store's shared
@@ -656,21 +592,7 @@ impl TraceStore {
         let mut walkers: Vec<TraceWalker<'_>> = (0..n_cores)
             .map(|c| spec.workloads.walker(&programs, c))
             .collect();
-        let mut sources: Vec<&mut dyn OpSource> =
-            walkers.iter_mut().map(|w| w as &mut dyn OpSource).collect();
-        let mut system = instrumented(spec, telemetry, slot);
-        let metrics =
-            system.run_workload_from(&mut sources, spec.lengths.warm, spec.lengths.measure);
-        let run = TracedRun {
-            summary: Summary::from_metrics(&metrics),
-            source: RunSource::Live,
-            decode_mips: 0.0,
-            sim_mips: metrics.sim_mips(),
-            sim_seconds: metrics.sim_wall_seconds,
-            telemetry: system.take_telemetry(),
-        };
-        slot.put(system);
-        run
+        simulate(spec, telemetry, slot, &mut walkers, RunSource::Live, 0.0)
     }
 
     /// Moves a corrupt trace aside, preserving it for inspection.
@@ -684,19 +606,42 @@ impl TraceStore {
     }
 }
 
-/// Draws `spec`'s system from `slot` with telemetry armed when a config
-/// is given. ([`System::reset_cold`] disarms telemetry, so a reused
-/// system never inherits instrumentation from its previous run.)
-fn instrumented(
+/// Simulates `spec` over one op source per core and packages the result
+/// as a [`TracedRun`] from `source` — the one place every stream path
+/// (replay, capture, live) turns its sources into a run. The system comes
+/// from `slot` with telemetry armed when a config is given
+/// ([`System::reset_cold`] disarms it, so a reused system never inherits
+/// instrumentation from its previous run) and goes back afterwards.
+fn simulate<S: OpSource>(
     spec: &RunSpec,
     telemetry: Option<&TelemetryConfig>,
     slot: &mut SystemSlot,
-) -> System {
+    sources: &mut [S],
+    source: RunSource,
+    decode_mips: f64,
+) -> TracedRun {
     let mut system = slot.take(spec);
     if let Some(config) = telemetry {
         system.enable_telemetry(config.clone());
     }
-    system
+    let mut dyns: Vec<&mut dyn OpSource> =
+        sources.iter_mut().map(|s| s as &mut dyn OpSource).collect();
+    let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
+    let run = TracedRun {
+        summary: Summary::from_metrics(&metrics),
+        source,
+        decode_mips,
+        sim_mips: metrics.sim_mips(),
+        sim_seconds: metrics.sim_wall_seconds,
+        telemetry: system.take_telemetry(),
+    };
+    slot.put(system);
+    run
+}
+
+/// Path of the per-core trace file for a trace key.
+fn core_path(dir: &Path, key: &str, core: u32) -> PathBuf {
+    dir.join(format!("{key}.c{core}.itrace"))
 }
 
 /// Removes leftover capture temp files (best effort).
@@ -780,7 +725,7 @@ mod tests {
         assert_eq!(store.execute(&spec).source, RunSource::Capture);
 
         // Flip one payload byte in the stored trace.
-        let path = store.core_path(&dir, &spec.trace_key(), 0);
+        let path = core_path(&dir, &spec.trace_key(), 0);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -888,11 +833,10 @@ mod tests {
         assert_eq!(with.summary, without.summary);
     }
 
-    /// Replays small enough for the arena budget decode once and serve
-    /// zero-copy; an over-budget store streams per-op instead. Both must
-    /// match live results exactly.
+    /// A replayed stream is decoded once into the arena and every later
+    /// replay is served from that cached copy; all of them match live.
     #[test]
-    fn arena_and_streaming_replay_agree_with_live() {
+    fn arena_replay_is_cached_and_agrees_with_live() {
         let dir = tmp_dir("arena");
         let spec = spec();
         let live = spec.execute();
@@ -916,18 +860,65 @@ mod tests {
         let again = store.execute(&spec);
         assert_eq!(again.summary, live);
         assert_eq!(again.decode_mips, arena.decode_mips);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
-        // A zero budget disables arenas: same files, streaming decoder.
-        std::env::set_var(ARENA_OPS_ENV, "0");
-        let streaming_store = TraceStore::at(&dir);
-        let streaming = streaming_store.execute(&spec);
-        std::env::remove_var(ARENA_OPS_ENV);
-        assert_eq!(streaming.source, RunSource::Replay);
-        assert_eq!(streaming.summary, live);
-        assert!(
-            streaming_store.arenas.lock().unwrap().map.is_empty(),
-            "over-budget replays must not cache arenas"
-        );
+    /// A stream larger than the whole arena budget runs live without
+    /// claiming its key or writing a file; a zero budget does the same for
+    /// every stream.
+    #[test]
+    fn over_budget_streams_run_live_and_write_nothing() {
+        let dir = tmp_dir("overbudget");
+        let spec = spec();
+        let ops = spec.lengths.warm + spec.lengths.measure;
+        for budget in [ops - 1, 0] {
+            let mut store = TraceStore::at(&dir);
+            store.arena_budget = budget;
+            for _ in 0..2 {
+                let run = store.execute(&spec);
+                assert_eq!(run.source, RunSource::Live, "budget {budget}");
+                assert_eq!(run.summary, spec.execute());
+            }
+            assert!(store.claims.lock().unwrap().is_empty());
+            assert!(store.arenas.lock().unwrap().map.is_empty());
+            assert_eq!((store.captured(), store.replayed()), (0, 0));
+            assert!(
+                fs::read_dir(&dir).map_or(true, |mut d| d.next().is_none()),
+                "an over-budget run left files in the store"
+            );
+        }
+    }
+
+    /// Valid files whose stream no longer fits the remaining budget run
+    /// live and are left exactly as they were: not decoded, quarantined or
+    /// re-captured.
+    #[test]
+    fn full_arena_runs_live_and_leaves_files_untouched() {
+        let dir = tmp_dir("fullarena");
+        let a = spec();
+        let mut b = a.clone();
+        b.workloads = WorkloadSet::homogeneous(Workload::Web);
+        assert_ne!(a.trace_key(), b.trace_key());
+
+        let capturer = TraceStore::at(&dir);
+        assert_eq!(capturer.execute(&a).source, RunSource::Capture);
+        assert_eq!(capturer.execute(&b).source, RunSource::Capture);
+
+        // A fresh store (no claims) whose whole budget `b`'s arena takes.
+        let mut store = TraceStore::at(&dir);
+        store.arena_budget = a.lengths.warm + a.lengths.measure;
+        assert_eq!(store.execute(&b).source, RunSource::Replay);
+
+        let path = core_path(&dir, &a.trace_key(), 0);
+        let before = fs::read(&path).unwrap();
+        let modified = fs::metadata(&path).unwrap().modified().unwrap();
+        let run = store.execute(&a);
+        assert_eq!(run.source, RunSource::Live);
+        assert_eq!(run.summary, a.execute());
+        assert_eq!(fs::read(&path).unwrap(), before);
+        assert_eq!(fs::metadata(&path).unwrap().modified().unwrap(), modified);
+        assert_eq!(store.quarantined(), 0);
+        assert_eq!((store.captured(), store.replayed()), (0, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -45,7 +45,7 @@
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{LimitSpec, WorkloadSet};
-use ipsim_prefetch::ZooPlan;
+use ipsim_prefetch::{find_scheme, ZooPlan};
 use ipsim_telemetry::json::{self, Json};
 use ipsim_trace::Workload;
 use ipsim_types::SystemConfig;
@@ -287,7 +287,7 @@ impl WireRun {
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("run field `{name}` must be a string"))
         };
-        let int_field = |name: &str| -> Result<u64, String> {
+        let window_field = |name: &str| -> Result<u64, String> {
             let n = value
                 .get(name)
                 .and_then(Json::as_num)
@@ -295,7 +295,7 @@ impl WireRun {
             if n.fract() != 0.0 || !(0.0..=9e15).contains(&n) {
                 return Err(format!("run field `{name}` must be a non-negative integer"));
             }
-            Ok(n as u64)
+            bounded_window(n as u64, &format!("run field `{name}`"))
         };
         let limit = match value.get("limit") {
             None | Some(Json::Null) => None,
@@ -315,8 +315,8 @@ impl WireRun {
             zoo,
             policy: policy_from_wire(str_field("policy")?)?,
             limit,
-            warm: int_field("warm")?,
-            measure: int_field("measure")?,
+            warm: window_field("warm")?,
+            measure: window_field("measure")?,
         })
     }
 }
@@ -482,7 +482,10 @@ pub fn prefetcher_to_wire(kind: PrefetcherKind) -> String {
     }
 }
 
-/// Parses the compact prefetcher form (see [`prefetcher_to_wire`]).
+/// Parses the compact prefetcher form (see [`prefetcher_to_wire`]). Every
+/// number must lie within the bounds the scheme registry declares for the
+/// same knob (`disc:T:A` obeys `disc`'s `table_entries` and `ahead`), so a
+/// form accepted here always builds.
 pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
     let mut parts = text.split(':');
     let head = parts.next().unwrap_or("");
@@ -497,13 +500,9 @@ pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
             ))
         }
     };
-    let num = |i: usize, what: &str| -> Result<u64, String> {
-        args[i]
-            .parse::<u64>()
-            .ok()
-            .filter(|v| *v >= 1)
-            .ok_or_else(|| format!("prefetcher `{head}`: {what} must be a positive integer"))
-    };
+    // Every number is a registry knob (`scheme`, `knob`): the zoo grammar
+    // and the engines rely on the same bounds.
+    let num = |i: usize, scheme: &str, knob: &str| knob_value(head, args[i], scheme, knob);
     match head {
         "none" => {
             arity(0)?;
@@ -524,34 +523,34 @@ pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
         "nnl" => {
             arity(1)?;
             Ok(PrefetcherKind::NextNLineTagged {
-                n: num(0, "distance")? as u32,
+                n: num(0, "nnl", "n")? as u32,
             })
         }
         "lookahead" => {
             arity(1)?;
             Ok(PrefetcherKind::Lookahead {
-                n: num(0, "distance")? as u32,
+                n: num(0, "lookahead", "n")? as u32,
             })
         }
         "disc" => {
             arity(2)?;
             Ok(PrefetcherKind::Discontinuity {
-                table_entries: num(0, "table entries")? as usize,
-                ahead: num(1, "ahead")? as u32,
+                table_entries: num(0, "disc", "table_entries")? as usize,
+                ahead: num(1, "disc", "ahead")? as u32,
             })
         }
         "disc_gated" => {
             arity(3)?;
             Ok(PrefetcherKind::DiscontinuityGated {
-                table_entries: num(0, "table entries")? as usize,
-                ahead: num(1, "ahead")? as u32,
-                min_confidence: num(2, "confidence")?.min(255) as u8,
+                table_entries: num(0, "disc", "table_entries")? as usize,
+                ahead: num(1, "disc", "ahead")? as u32,
+                min_confidence: num(2, "disc", "min_confidence")? as u8,
             })
         }
         "target" => {
             arity(1)?;
             Ok(PrefetcherKind::Target {
-                table_entries: num(0, "table entries")? as usize,
+                table_entries: num(0, "target", "table_entries")? as usize,
             })
         }
         "wrong_path" => {
@@ -565,12 +564,37 @@ pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
         "markov" => {
             arity(2)?;
             Ok(PrefetcherKind::Markov {
-                table_entries: num(0, "table entries")? as usize,
-                ahead: num(1, "ahead")? as u32,
+                table_entries: num(0, "markov", "table_entries")? as usize,
+                ahead: num(1, "markov", "ahead")? as u32,
             })
         }
         _ => Err(format!("unknown prefetcher `{text}`")),
     }
+}
+
+/// Parses one number of the compact prefetcher form `head`, holding it to
+/// the bounds the registry declares for `knob` of `scheme` (and to at
+/// least 1: a compact-form number is never "off").
+///
+/// # Panics
+///
+/// Panics if the registry declares no such knob — a mapping bug, not an
+/// input error.
+fn knob_value(head: &str, text: &str, scheme: &str, knob: &str) -> Result<u64, String> {
+    let def = find_scheme(scheme)
+        .and_then(|s| s.knobs.iter().find(|k| k.name == knob))
+        .unwrap_or_else(|| panic!("registry scheme `{scheme}` has no knob `{knob}`"));
+    let min = def.min.max(1);
+    text.parse::<u64>()
+        .ok()
+        .filter(|v| (min..=def.max).contains(v) && (!def.pow2 || v.is_power_of_two()))
+        .ok_or_else(|| {
+            let pow2 = if def.pow2 { ", a power of two" } else { "" };
+            format!(
+                "prefetcher `{head}`: {knob} must be an integer in {min}..={}{pow2}",
+                def.max
+            )
+        })
 }
 
 /// `install_both` | `bypass`.
@@ -668,13 +692,21 @@ fn parse_workload_set(name: &str) -> Result<WorkloadSet, String> {
     })
 }
 
-/// Parses a run window, bounding it so a malicious submit cannot queue a
-/// multi-year simulation (the full paper windows are 10M/20M).
+/// Largest accepted run window, in ops per core, so a malicious submit
+/// cannot queue a multi-year simulation (the full paper windows are
+/// 10M/20M). Both encodings enforce it.
+const MAX_WINDOW: u64 = 1_000_000_000;
+
+/// Parses a TSV run window (see [`bounded_window`]).
 fn parse_window(text: &str, what: &str) -> Result<u64, String> {
-    const MAX_WINDOW: u64 = 1_000_000_000;
     let v = text
         .parse::<u64>()
         .map_err(|_| format!("{what} must be a non-negative integer"))?;
+    bounded_window(v, what)
+}
+
+/// `v` if it is at most [`MAX_WINDOW`].
+fn bounded_window(v: u64, what: &str) -> Result<u64, String> {
     if v > MAX_WINDOW {
         return Err(format!("{what} must be at most {MAX_WINDOW}"));
     }
@@ -863,12 +895,49 @@ mod tests {
         let mut ok = JobSpec::new(sample_runs()).unwrap().to_json();
         ok = ok.replacen("\"config\"", "\"confg\"", 1);
         assert!(JobSpec::from_json(&ok).is_err());
-        // Absurd windows are rejected at the door.
+        // Absurd windows are rejected at the door, with one bound for
+        // both encodings.
         assert!(WireRun::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t9999999999999").is_err());
+        let run = |warm: u64| {
+            format!(
+                "{{\"v\":2,\"runs\":[{{\"config\":\"cmp4\",\"workload\":\"db\",\
+                 \"policy\":\"install_both\",\"warm\":{warm},\"measure\":1}}]}}"
+            )
+        };
+        assert!(JobSpec::from_json(&run(MAX_WINDOW)).is_ok());
+        assert!(
+            WireRun::from_tsv(&format!("cmp4\tdb\tnone\tinstall_both\t-\t{MAX_WINDOW}\t1")).is_ok()
+        );
+        for too_long in [MAX_WINDOW + 1, 9_000_000_000_000_000] {
+            let err = JobSpec::from_json(&run(too_long)).unwrap_err();
+            assert!(err.contains("at most"), "{err}");
+            assert!(
+                WireRun::from_tsv(&format!("cmp4\tdb\tnone\tinstall_both\t-\t{too_long}\t1"))
+                    .is_err()
+            );
+        }
         // Bad TSV header.
         assert!(JobSpec::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t2\n").is_err());
         assert!(prefetcher_from_wire("disc:8192").is_err());
         assert!(prefetcher_from_wire("warp").is_err());
+        // Compact-form numbers obey the registry's bounds for the same
+        // knob: no non-power-of-two or absurd tables, no runaway degree.
+        for bad in [
+            "disc:1000:4",
+            "disc:1073741824:4",
+            "nnl:4000000000",
+            "markov:3:1",
+            "disc:8192:0",
+            "disc_gated:8192:4:0",
+            "disc_gated:8192:4:300",
+            "target:1000",
+            "lookahead:65",
+        ] {
+            assert!(prefetcher_from_wire(bad).is_err(), "{bad} accepted");
+        }
+        for good in ["nl_tagged", "nnl:4", "disc:8192:4", "disc_gated:8192:4:2"] {
+            assert!(prefetcher_from_wire(good).is_ok(), "{good} rejected");
+        }
         assert!(policy_from_wire("both").is_err());
         assert!(limit_from_wire("seq+wat").is_err());
     }

@@ -301,6 +301,27 @@ fn tsv_submission_and_inflight_coalescing() {
     // A malformed spec is rejected at submit time.
     let bad = submit(&addr, "{\"v\":1,\"runs\":[{\"bogus\":true}]}");
     assert_eq!(bad.status, 400);
+    // So are engine sizes the simulator cannot build and windows beyond
+    // the wire bound, in either encoding.
+    for prefetcher in ["disc:1000:4", "disc:1073741824:4", "nnl:4000000000"] {
+        let bad = submit(&addr, &spec_json("db", prefetcher));
+        assert_eq!(bad.status, 400, "{prefetcher}: {}", bad.body);
+    }
+    let long = spec_json("db", "none").replace("\"warm\":2000", "\"warm\":1000000001");
+    assert_eq!(submit(&addr, &long).status, 400);
+    let long_tsv = format!(
+        "{}\nsingle_core\tdb\tnone\tinstall_both\t-\t1000000001\t1\n",
+        ipsim_harness::wire::TSV_HEADER
+    );
+    let bad = client::request(
+        &addr,
+        "POST",
+        "/v1/jobs",
+        &[("Content-Type", "text/tab-separated-values")],
+        Some(&long_tsv),
+    )
+    .unwrap();
+    assert_eq!(bad.status, 400, "{}", bad.body);
 
     handle.join();
     let _ = std::fs::remove_dir_all(&root);

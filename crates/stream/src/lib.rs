@@ -13,17 +13,19 @@
 //!   any bit flip or truncation is detected, never mis-decoded,
 //! * [`TraceSource`] / [`TraceSink`] — the capture/replay seam: the CPU
 //!   model consumes a `TraceSource`, which can be a live walker, a
-//!   [`Tee`] (walker + capture to disk), or a [`ReplaySource`] decoding a
-//!   stored trace.
+//!   [`Tee`] (walker + capture to disk), or an [`ArenaSource`] serving a
+//!   stored trace decoded once into memory.
 //!
 //! Capture once, replay everywhere: the harness stores one trace per
-//! workload stream and feeds every other config in the sweep from it,
-//! with byte-identical figure output (enforced by integration test).
+//! workload stream, decodes it into an arena and feeds every other config
+//! in the sweep from it, with byte-identical figure output (enforced by
+//! integration test). Streams too long for the harness's arena budget run
+//! live instead: per-op decoding is no cheaper than walking.
 //!
 //! # Example
 //!
 //! ```
-//! use ipsim_stream::{ReplaySource, TraceReader, TraceSource, TraceWriter};
+//! use ipsim_stream::{ArenaSource, TraceReader, TraceSource, TraceWriter};
 //! use ipsim_types::instr::{OpKind, TraceOp};
 //! use ipsim_types::Addr;
 //!
@@ -33,8 +35,10 @@
 //! let (bytes, stats) = writer.finish_into().unwrap();
 //! assert_eq!(stats.ops, 1);
 //!
-//! let reader = TraceReader::open(std::io::Cursor::new(bytes)).unwrap();
-//! let mut replay = ReplaySource::new(reader).unwrap();
+//! let mut reader = TraceReader::open(std::io::Cursor::new(bytes)).unwrap();
+//! let mut ops = Vec::new();
+//! reader.decode_all_into(&mut ops).unwrap();
+//! let mut replay = ArenaSource::new(ops);
 //! assert_eq!(replay.next_op(), op);
 //! ```
 
@@ -47,23 +51,23 @@ pub mod reader;
 pub mod varint;
 pub mod writer;
 
-use std::io::{Read, Seek, Write};
+use std::io::Write;
 
 use ipsim_types::instr::TraceOp;
-use ipsim_types::{CodecError, StreamStats};
+use ipsim_types::CodecError;
 
 pub use reader::TraceReader;
 pub use writer::{TraceWriter, BLOCK_TARGET_BYTES, FORMAT_VERSION};
 
 /// An infinite, infallible stream of instructions — what the CPU model
 /// consumes. Implemented by the live walker (`ipsim-trace`), by [`Tee`]
-/// (live + capture), and by [`ReplaySource`] (decode from disk).
+/// (live + capture), and by [`ArenaSource`] (decoded ops in memory).
 ///
 /// Infallibility is a deliberate contract: the simulator core has no
 /// error path mid-run. Sources that can fail (capture I/O, decode) must
 /// either absorb the failure ([`Tee`] keeps streaming and reports the
-/// sink error afterwards) or front-load it (replay requires a validated
-/// trace).
+/// sink error afterwards) or front-load it (a trace is decoded whole,
+/// every block CRC checked, before its arena replays).
 pub trait TraceSource {
     /// Produces the next instruction.
     fn next_op(&mut self) -> TraceOp;
@@ -86,14 +90,13 @@ pub trait TraceSource {
     /// Zero-copy variant of [`TraceSource::next_block`]: returns a
     /// borrowed view of the next `n` instructions and advances past them,
     /// or `None` when this source cannot lend its ops (the default — live
-    /// walkers generate ops, tees must observe every op, replay decodes
-    /// into a rotating buffer). Only sources that hold fully decoded ops
-    /// in memory ([`ArenaSource`]) override this.
+    /// walkers generate ops, tees must observe every op). Only sources
+    /// that hold fully decoded ops in memory ([`ArenaSource`]) override
+    /// this.
     ///
     /// A `Some` slice has exactly `n` ops; an implementation that cannot
     /// serve `n` more ops must panic (the scheduler never asks past the
-    /// agreed stream length, so running dry is a harness bug — the same
-    /// contract as [`ReplaySource`]'s `next_op`).
+    /// agreed stream length, so running dry is a harness bug).
     fn next_slice(&mut self, n: usize) -> Option<&[TraceOp]> {
         let _ = n;
         None
@@ -186,33 +189,6 @@ impl<S: TraceSource, K: TraceSink> TraceSource for Tee<S, K> {
     }
 }
 
-/// Replays a stored trace as an infallible [`TraceSource`].
-///
-/// Construction runs [`TraceReader::verify_blocks`], so every block's CRC
-/// and op count is proven good — at checksum speed, without decoding —
-/// before the first op is served. The only ways `next_op` can fail
-/// afterwards are an I/O fault, a CRC-valid-but-undecodable payload
-/// (impossible for writer-produced files) or draining the trace past its
-/// recorded length; all indicate a harness bug and panic rather than
-/// feeding the simulator a wrong stream.
-pub struct ReplaySource<R: Read + Seek> {
-    reader: TraceReader<R>,
-    stats: StreamStats,
-}
-
-impl<R: Read + Seek> ReplaySource<R> {
-    /// Verifies `reader`'s whole trace, then positions at the first op.
-    pub fn new(mut reader: TraceReader<R>) -> Result<ReplaySource<R>, CodecError> {
-        let stats = reader.verify_blocks()?;
-        Ok(ReplaySource { reader, stats })
-    }
-
-    /// Whole-trace statistics gathered during verification.
-    pub fn stats(&self) -> StreamStats {
-        self.stats
-    }
-}
-
 /// Replays fully decoded, in-memory instructions as an infallible
 /// [`TraceSource`] — the zero-copy end of the capture/replay seam.
 ///
@@ -228,9 +204,9 @@ impl<R: Read + Seek> ReplaySource<R> {
 ///
 /// # Panics
 ///
-/// Like [`ReplaySource`], draining past the end of the arena panics: the
-/// scheduler never asks for more ops than the agreed stream length, so
-/// running dry is a harness bug, not a runtime condition.
+/// Draining past the end of the arena panics: the scheduler never asks
+/// for more ops than the agreed stream length, so running dry is a
+/// harness bug, not a runtime condition.
 pub struct ArenaSource<T: AsRef<[TraceOp]>> {
     ops: T,
     pos: usize,
@@ -282,27 +258,5 @@ impl<T: AsRef<[TraceOp]>> TraceSource for ArenaSource<T> {
         let start = self.pos;
         self.pos += n;
         Some(&self.ops.as_ref()[start..self.pos])
-    }
-}
-
-impl<R: Read + Seek> TraceSource for ReplaySource<R> {
-    #[inline]
-    fn next_op(&mut self) -> TraceOp {
-        self.reader
-            .next_op()
-            .expect("validated trace failed mid-replay")
-            .expect("replay ran past end of trace")
-    }
-
-    fn next_block(&mut self, out: &mut [TraceOp]) {
-        // One virtual call per scheduler quantum; the decode loop itself
-        // is monomorphised here rather than re-entered through the vtable.
-        for slot in out {
-            *slot = self
-                .reader
-                .next_op()
-                .expect("validated trace failed mid-replay")
-                .expect("replay ran past end of trace");
-        }
     }
 }

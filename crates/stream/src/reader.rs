@@ -8,19 +8,17 @@
 //! is CRC-checked before any of its ops are surfaced; a corrupt file
 //! yields an error, never a wrong instruction.
 //!
-//! Two whole-file checks exist, ordered by cost:
+//! Two whole-file passes exist, both checking every block CRC and
+//! reconciling the op count against the index:
 //!
-//! * [`verify_blocks`](TraceReader::verify_blocks) reads and CRC-checks
-//!   every block *without decoding a single op* — this is how the harness
-//!   proves a stored trace is replayable before committing a run to it,
-//!   at memory-bandwidth speed rather than decode speed;
-//! * [`validate`](TraceReader::validate) additionally decodes every op
-//!   and reconciles counts against the index (the deep scan used by tests
-//!   and tools).
+//! * [`decode_all_into`](TraceReader::decode_all_into) decodes the whole
+//!   trace into an op vector — the arena the harness replays from;
+//! * [`validate`](TraceReader::validate) decodes every op and keeps none
+//!   (the deep scan used by tests and tools).
 //!
 //! Ops are decoded lazily, one at a time, straight out of the CRC-verified
-//! payload buffer — no intermediate op vector — because replay decode
-//! throughput competes directly with live walker generation.
+//! payload buffer — no intermediate op vector — because decode
+//! throughput is what building a replay arena costs.
 
 use std::io::{Read, Seek, SeekFrom};
 
@@ -327,86 +325,39 @@ impl<R: Read + Seek> TraceReader<R> {
         self.seek_to_block(0)
     }
 
-    /// Reads every block and checks its CRC and index entry *without
-    /// decoding ops*, then rewinds. Returns whole-file statistics.
-    ///
-    /// This runs at checksum speed (slicing-by-8, several bytes per
-    /// cycle), so the harness can afford it before every replay. After it
-    /// succeeds, streaming the trace can only fail through an I/O error or
-    /// a CRC-valid-but-undecodable payload — the latter is impossible for
-    /// writer-produced files, which is what lets a replay source treat
-    /// decode as infallible.
-    pub fn verify_blocks(&mut self) -> Result<StreamStats, CodecError> {
-        self.rewind()?;
-        self.payload_bytes_seen = 0;
-        let mut ops = 0u64;
-        for idx in 0..self.index.len() {
-            self.load_block(idx)?;
-            ops += u64::from(self.ops_left);
-            self.ops_left = 0;
-        }
-        if ops != self.total_ops {
-            return Err(CodecError::CountMismatch {
-                expected: self.total_ops,
-                found: ops,
-            });
-        }
-        let stats = StreamStats {
-            ops,
-            blocks: self.index.len() as u64,
-            payload_bytes: self.payload_bytes_seen,
-            file_bytes: self.file_bytes,
-        };
-        self.rewind()?;
-        Ok(stats)
-    }
-
     /// Decodes the whole trace into `out` in one pass — the arena decode
     /// feeding [`ArenaSource`](crate::ArenaSource). Every block CRC is
-    /// still verified (by [`load_block`](Self::load_block)) before its ops
-    /// are surfaced, and the total is reconciled against the index, so
-    /// this is as safe as `verify_blocks` + streaming decode while paying
-    /// the codec exactly once per trace instead of once per replay.
+    /// verified (by [`load_block`](Self::load_block)) before its ops are
+    /// surfaced, and the total is reconciled against the index, so a
+    /// corrupt or truncated file is an error, never a short or wrong
+    /// arena.
     ///
     /// `out` is appended to (capacity is reserved up front) so callers can
     /// reuse one allocation across traces. Rewinds when done. Returns
     /// whole-file statistics.
     pub fn decode_all_into(&mut self, out: &mut Vec<TraceOp>) -> Result<StreamStats, CodecError> {
-        self.rewind()?;
-        self.payload_bytes_seen = 0;
         out.reserve(self.total_ops as usize);
-        let mut ops = 0u64;
-        while let Some(op) = self.next_op()? {
-            out.push(op);
-            ops += 1;
-        }
-        if ops != self.total_ops {
-            return Err(CodecError::CountMismatch {
-                expected: self.total_ops,
-                found: ops,
-            });
-        }
-        let stats = StreamStats {
-            ops,
-            blocks: self.index.len() as u64,
-            payload_bytes: self.payload_bytes_seen,
-            file_bytes: self.file_bytes,
-        };
-        self.rewind()?;
-        Ok(stats)
+        self.decode_each(|op| out.push(op))
     }
 
     /// Decodes every block, checking all CRCs and reconciling op counts
     /// against the index, then rewinds. Returns whole-file statistics.
     ///
-    /// The deep variant of [`verify_blocks`](TraceReader::verify_blocks):
-    /// additionally proves every payload byte decodes to an op. Used by
-    /// tests and tools; the harness uses the cheap check.
+    /// [`decode_all_into`](TraceReader::decode_all_into) without keeping
+    /// the ops: proves every payload byte decodes to an op. Used by tests
+    /// and tools.
     pub fn validate(&mut self) -> Result<StreamStats, CodecError> {
+        self.decode_each(|_| {})
+    }
+
+    /// Decodes the whole trace from the start, handing each op to `sink`,
+    /// reconciles the count against the index and rewinds.
+    fn decode_each(&mut self, mut sink: impl FnMut(TraceOp)) -> Result<StreamStats, CodecError> {
         self.rewind()?;
         self.payload_bytes_seen = 0;
         let mut ops = 0u64;
-        while self.next_op()?.is_some() {
+        while let Some(op) = self.next_op()? {
+            sink(op);
             ops += 1;
         }
         if ops != self.total_ops {

@@ -456,7 +456,8 @@ impl Iterator for TraceWalker<'_> {
 
 /// The walker is the *live* instruction source: wrapping it in an
 /// `ipsim_stream::Tee` captures a run to disk, and a stored capture
-/// replays through `ipsim_stream::ReplaySource` as an identical stream.
+/// decoded into an `ipsim_stream::ArenaSource` replays as an identical
+/// stream.
 impl ipsim_stream::TraceSource for TraceWalker<'_> {
     fn next_op(&mut self) -> TraceOp {
         TraceWalker::next_op(self)

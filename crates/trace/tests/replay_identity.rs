@@ -1,7 +1,7 @@
-//! Three-way stream identity: a live walker, a buffered (per-op decode)
-//! replay of its captured trace, and a zero-copy arena replay of the same
-//! trace must all produce the identical op sequence — across every
-//! workload profile and a spread of seeds.
+//! Three-way stream identity: a live walker, a per-op decode of its
+//! captured trace through `TraceReader::next_op`, and a zero-copy arena
+//! replay of the same trace must all produce the identical op sequence —
+//! across every workload profile and a spread of seeds.
 //!
 //! This is the proof obligation behind the harness's capture/replay and
 //! arena paths: any stream source may feed any run, so every source must
@@ -11,7 +11,7 @@
 
 use std::io::Cursor;
 
-use ipsim_stream::{ArenaSource, ReplaySource, TraceReader, TraceSource, TraceWriter};
+use ipsim_stream::{ArenaSource, TraceReader, TraceSource, TraceWriter};
 use ipsim_trace::{TraceWalker, Workload};
 use ipsim_types::instr::TraceOp;
 use proptest::prelude::*;
@@ -83,12 +83,13 @@ proptest! {
         let (bytes, stats) = writer.finish_into().unwrap();
         prop_assert_eq!(stats.ops, n as u64);
 
-        // Buffered leg: per-op / per-block decode through ReplaySource.
-        let reader = TraceReader::open(Cursor::new(&bytes)).unwrap();
-        let mut buffered = ReplaySource::new(reader).unwrap();
-        prop_assert!(buffered.next_slice(1).is_none(), "replay cannot lend");
-        let replayed = drain_blocks(&mut buffered, n);
-        prop_assert_eq!(&replayed, &live, "buffered replay diverged");
+        // Per-op leg: the decoder one op at a time, then end of trace.
+        let mut reader = TraceReader::open(Cursor::new(&bytes)).unwrap();
+        let mut decoded = Vec::with_capacity(n);
+        while let Some(op) = reader.next_op().unwrap() {
+            decoded.push(op);
+        }
+        prop_assert_eq!(&decoded, &live, "per-op decode diverged");
 
         // Zero-copy leg: decode once into an arena, lend slices.
         let mut reader = TraceReader::open(Cursor::new(&bytes)).unwrap();
@@ -99,6 +100,9 @@ proptest! {
         let mut source = ArenaSource::new(arena.as_slice());
         let sliced = drain_slices(&mut source, n);
         prop_assert_eq!(&sliced, &live, "arena slices diverged");
+        let mut source = ArenaSource::new(arena.as_slice());
+        let blocks = drain_blocks(&mut source, n);
+        prop_assert_eq!(&blocks, &live, "arena blocks diverged");
 
         // And the same arena rewound serves per-op identically too.
         let mut source = ArenaSource::new(arena.as_slice());
