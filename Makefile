@@ -1,9 +1,9 @@
 # Developer entry points. Everything here is a thin wrapper over cargo;
 # CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test lint figures figures-sharded bench bench-snapshot \
+.PHONY: build test lint figures bench bench-snapshot \
         bench-check sim-report sweep-report telemetry-check bakeoff \
-        bakeoff-smoke serve serve-load serve-smoke shard-smoke \
+        bakeoff-smoke serve serve-load serve-smoke \
         ops-report metrics-smoke
 
 build:
@@ -19,16 +19,9 @@ lint:
 figures:
 	cargo run --release -p ipsim-experiments --bin all_figures
 
-# Process-parallel figure sweep: the run set is partitioned by cache key
-# over N processes (override with SHARDS=N), all writing through the
-# shared run cache; figures are byte-identical at any shard count.
-SHARDS ?= 4
-figures-sharded:
-	cargo run --release -p ipsim-experiments --bin all_figures -- --shards $(SHARDS)
-
 # Queryable summary of everything the runlog + run cache + telemetry
 # artifacts record: totals, cache economics, per-workload/per-scheme
-# accuracy/coverage/timeliness, shard utilization. Add
+# accuracy/coverage/timeliness. Add
 # SWEEP_REPORT_FLAGS="--stable" for the machine-stable view.
 sweep-report:
 	cargo run --release -p ipsim-experiments --bin sweep_report -- $(SWEEP_REPORT_FLAGS)
@@ -100,9 +93,3 @@ ops-report:
 # drain-time span export validated by telemetry_check. Needs curl+jq.
 metrics-smoke: build
 	bash scripts/metrics_smoke.sh
-
-# Sharded-sweep smoke: 2-shard mini-sweep with a real child process,
-# golden figure hashes, warm-rerun manifest skip, stable-report
-# byte-identity. Same script CI runs.
-shard-smoke: build
-	bash scripts/shard_smoke.sh

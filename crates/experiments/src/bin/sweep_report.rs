@@ -1,11 +1,10 @@
 //! `sweep_report`: aggregate a sweep's on-disk outputs into one report.
 //!
-//! Reads the v5 runlog (including `# batch shard I/N` markers), the run
-//! cache and the telemetry artifacts — nothing is re-simulated — and
-//! prints totals, aggregate sim-MIPS, cache hit/miss economics, a
-//! per-workload/per-scheme accuracy-coverage-timeliness table, and shard
-//! utilization. See `ipsim_experiments::report` for the section
-//! definitions.
+//! Reads the v5 runlog, the run cache and the telemetry artifacts —
+//! nothing is re-simulated — and prints totals, aggregate sim-MIPS, cache
+//! hit/miss economics and a per-workload/per-scheme
+//! accuracy-coverage-timeliness table. See `ipsim_experiments::report`
+//! for the section definitions.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -22,9 +21,9 @@ usage: sweep_report [--runlog PATH] [--cache DIR] [--telemetry DIR] [--stable]
   --telemetry DIR   telemetry artifact root for the timeliness columns
                     (default: $IPSIM_TELEMETRY_DIR or results/telemetry);
                     missing artifacts print `-`, never fail
-  --stable          machine-stable view only: no timestamps, wall times,
-                    stream sources or shard batches — byte-identical for
-                    any shard or worker count that produced the sweep
+  --stable          machine-stable view only: no timestamps, wall times or
+                    stream sources — byte-identical for any worker count
+                    or invocation order that produced the sweep
   --help            this text
 ";
 

@@ -79,25 +79,32 @@ fn prefetcher_selectors_reject_unknown_schemes_with_exit_two() {
     }
 }
 
+/// Flags no binary accepts: a made-up one, and the process-sharding flag
+/// that has been removed, so a stale script fails loudly instead of
+/// silently running a different sweep.
+const UNKNOWN_FLAGS: &[&[&str]] = &[&["--definitely-not-a-real-flag"], &["--shards", "2"]];
+
 #[test]
 fn every_binary_rejects_unknown_flags_with_exit_two() {
     for (name, path) in BINS {
-        let out = Command::new(path)
-            .arg("--definitely-not-a-real-flag")
-            .output()
-            .unwrap_or_else(|e| panic!("{name}: could not run: {e}"));
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{name} accepted an unknown flag (exit {:?})\nstdout: {}\nstderr: {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("usage"),
-            "{name} rejected the flag without printing usage:\n{stderr}"
-        );
+        for args in UNKNOWN_FLAGS {
+            let out = Command::new(path)
+                .args(*args)
+                .output()
+                .unwrap_or_else(|e| panic!("{name}: could not run: {e}"));
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{name} accepted {args:?} (exit {:?})\nstdout: {}\nstderr: {}",
+                out.status.code(),
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("usage"),
+                "{name} rejected {args:?} without printing usage:\n{stderr}"
+            );
+        }
     }
 }

@@ -7,9 +7,17 @@
 //! (flat cache sets, batched dispatch, bounded prefetch-source table). Any
 //! change to simulated behaviour — however subtle — flips a hash; perf work
 //! on the hot path must keep these green.
+//!
+//! The same guarantee holds at the process level: the real `all_figures`
+//! binary at `--jobs 1` and `--jobs 2` writes the golden bytes, logs the
+//! same run set, skips the figure on a warm rerun, and yields the same
+//! `sweep_report --stable` bytes.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
+use ipsim_experiments::report::{render_report, ReportOptions};
 use ipsim_harness::hash::fnv1a64;
 use ipsim_harness::{run_sweep, Figure, ProgressMode, RunLengths, SweepOptions, SweepReport};
 use ipsim_telemetry::TelemetryConfig;
@@ -120,7 +128,118 @@ fn figure_output_is_byte_identical_across_worker_counts() {
         );
     }
 
+    // The stable report over each sweep's runlog and cache is the same
+    // bytes whatever the worker count.
+    let stable_report = |dir: &Path| {
+        render_report(&ReportOptions {
+            runlog: dir.join("runlog.tsv"),
+            cache_dir: dir.join("cache"),
+            telemetry_dir: dir.join("telemetry"),
+            stable: true,
+        })
+        .unwrap()
+    };
+    assert_eq!(
+        stable_report(&dir1),
+        stable_report(&dir4),
+        "stable sweep report differs between 1 and 4 workers"
+    );
+
     let _ = std::fs::remove_dir_all(dir1);
     let _ = std::fs::remove_dir_all(dir4);
     let _ = std::fs::remove_dir_all(dir_t);
+}
+
+/// The set of run keys a runlog records (ignoring comments and order).
+fn runlog_keys(path: &Path) -> BTreeSet<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("runlog {} unreadable: {e}", path.display());
+    });
+    text.lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| {
+            let fields: Vec<&str> = l.split('\t').collect();
+            assert_eq!(fields.len(), 15, "not a v5 runlog row: {l}");
+            fields[13].to_string()
+        })
+        .collect()
+}
+
+/// Runs a real binary in `dir` with `args`, its stores isolated in `dir`
+/// via the environment.
+fn run_in(exe: &str, dir: &Path, args: &[&str]) -> std::process::Output {
+    std::fs::create_dir_all(dir).unwrap();
+    Command::new(exe)
+        .args(args)
+        .current_dir(dir)
+        .env("IPSIM_RUN_LENGTHS", "10000/20000")
+        .env("IPSIM_CACHE_DIR", dir.join("cache"))
+        .env("IPSIM_RUNLOG", dir.join("runlog.tsv"))
+        .env("IPSIM_TRACE_DIR", dir.join("traces"))
+        .env("IPSIM_TELEMETRY_DIR", dir.join("telemetry"))
+        .output()
+        .unwrap_or_else(|e| panic!("{exe} did not run: {e}"))
+}
+
+#[test]
+fn the_binary_is_byte_identical_across_worker_counts_and_skips_on_the_warm_rerun() {
+    let all_figures = env!("CARGO_BIN_EXE_all_figures");
+    let root = std::env::temp_dir().join(format!("ipsim-determinism-bin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let sweep = |dir: &Path, jobs: &str| {
+        let out = run_in(all_figures, dir, &["--figures", "fig02", "--jobs", jobs]);
+        assert!(
+            out.status.success(),
+            "--jobs {jobs} run failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let serial_dir = root.join("jobs1");
+    let parallel_dir = root.join("jobs2");
+    sweep(&serial_dir, "1");
+    sweep(&parallel_dir, "2");
+
+    // The figure on disk is byte-identical and matches the golden hash.
+    let serial_fig = std::fs::read(serial_dir.join("results/fig02.txt")).unwrap();
+    let parallel_fig = std::fs::read(parallel_dir.join("results/fig02.txt")).unwrap();
+    assert_eq!(
+        serial_fig, parallel_fig,
+        "worker count changed rendered bytes"
+    );
+    assert_eq!(fnv1a64(&parallel_fig), GOLDEN[0].1, "fig02 diverged");
+
+    // Both processes logged the same run set.
+    assert_eq!(
+        runlog_keys(&serial_dir.join("runlog.tsv")),
+        runlog_keys(&parallel_dir.join("runlog.tsv")),
+    );
+
+    // Warm rerun: the manifest proves the output current; nothing renders.
+    let warm = sweep(&parallel_dir, "2");
+    let stdout = String::from_utf8_lossy(&warm.stdout);
+    assert!(
+        stdout.contains("(0 rendered, 1 unchanged)"),
+        "warm rerun rendered figures:\n{stdout}"
+    );
+    assert_eq!(
+        std::fs::read(parallel_dir.join("results/fig02.txt")).unwrap(),
+        parallel_fig,
+        "warm rerun changed the output file"
+    );
+
+    // `sweep_report --stable` over either directory prints the same bytes.
+    let report = |dir: &Path| {
+        let out = run_in(env!("CARGO_BIN_EXE_sweep_report"), dir, &["--stable"]);
+        assert!(
+            out.status.success(),
+            "sweep_report failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_eq!(report(&serial_dir), report(&parallel_dir));
+
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,5 +1,7 @@
 //! Fully specified experiment runs and their stable cache keys.
 
+use std::collections::HashSet;
+
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{LimitSpec, System, SystemBuilder, SystemMetrics, WorkloadSet};
@@ -278,6 +280,19 @@ impl RunSpec {
             }
         }
     }
+}
+
+/// `specs` with repeated cache keys dropped, in first-seen order: the
+/// batch shape [`crate::pool::execute`] expects (its specs are assumed
+/// unique, so a duplicate would be simulated twice at once). The sweep
+/// and the daemon both schedule through this.
+pub fn unique_by_key<'a>(specs: impl IntoIterator<Item = &'a RunSpec>) -> Vec<RunSpec> {
+    let mut seen = HashSet::new();
+    specs
+        .into_iter()
+        .filter(|spec| seen.insert(spec.cache_key()))
+        .cloned()
+        .collect()
 }
 
 #[cfg(test)]

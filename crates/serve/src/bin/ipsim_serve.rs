@@ -14,8 +14,8 @@ usage: ipsim_serve [options]
   --traces DIR      trace-store dir; `none` disables (default results/traces)
   --telemetry DIR   collect per-run telemetry artifacts under DIR (default off)
   --workers N       job-executing worker threads (default: half the cores)
-  --fanout N        runs executed concurrently within one job, partitioned
-                    by the sweep shard planner (default 1: one at a time);
+  --fanout N        runs executed concurrently within one job: its distinct
+                    runs in chunks of N (default 1: one at a time);
                     results are byte-identical for any N
   --max-queue N     queued-job bound before 429 (default 64)
   --rate BURST/SEC  per-client token bucket (default 16/4)

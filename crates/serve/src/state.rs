@@ -23,8 +23,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ipsim_harness::progress::{Progress, ProgressMode};
+use ipsim_harness::spec::unique_by_key;
 use ipsim_harness::wire::JobSpec;
-use ipsim_harness::{pool, runlog, shard};
+use ipsim_harness::{pool, runlog};
 use ipsim_harness::{RunCache, RunSpec, TelemetrySink, TraceStore};
 use ipsim_telemetry::TelemetryConfig;
 
@@ -47,13 +48,12 @@ pub struct ServeConfig {
     /// and journals jobs but never runs them (used by the recovery and
     /// backpressure tests).
     pub workers: usize,
-    /// Runs executed concurrently *within* one claimed job. `1` (the
-    /// default) keeps the original one-at-a-time loop; higher values chunk
-    /// the job's specs with the sweep shard planner
-    /// ([`ipsim_harness::shard::plan`]) — the same content-keyed partition
-    /// `all_figures --shards` uses — and fan each chunk across a pool.
-    /// Results are reassembled in submitted run order, so responses are
-    /// byte-identical for any fan-out.
+    /// Runs executed concurrently *within* one claimed job. The job's
+    /// specs are deduplicated by cache key (first-seen order, as a sweep
+    /// does) and cut into chunks of this many; each chunk fans across a
+    /// pool of that many workers. `1` (the default) runs one spec at a
+    /// time. Results are reassembled in submitted run order, so responses
+    /// are byte-identical for any fan-out.
     pub job_fanout: usize,
     /// Maximum *queued* jobs before submissions get `429`.
     pub max_queue: usize,
@@ -624,24 +624,16 @@ impl Service {
                 return;
             }
         };
-        // Execution chunks: one spec at a time at the default fan-out
-        // (progress stays maximally observable), or the shard planner's
-        // content-keyed partition when `job_fanout > 1` — each chunk fans
-        // across a pool of `job_fanout` workers. Either way the chunks are
-        // a disjoint exact cover of the job's specs, and results are
-        // reassembled in submitted order below.
+        // Execution chunks: the job's distinct runs, `job_fanout` at a time,
+        // each chunk fanned across that many workers. Deduplicating first
+        // keeps a repeated run from being simulated twice at once (the
+        // pool assumes unique specs); results are reassembled in submitted
+        // order below.
         let fanout = self.config.job_fanout.max(1);
-        let chunks: Vec<Vec<RunSpec>> = if fanout == 1 {
-            specs.iter().map(|s| vec![s.clone()]).collect()
-        } else {
-            shard::plan(&specs, fanout)
-                .into_iter()
-                .filter(|chunk| !chunk.is_empty())
-                .collect()
-        };
+        let unique = unique_by_key(&specs);
         let mut outcomes: HashMap<String, RunResult> = HashMap::new();
         let mut records = Vec::new();
-        for chunk in &chunks {
+        for chunk in unique.chunks(fanout) {
             if self.draining() {
                 // Drain mid-job: no terminal event — the journal still has
                 // submit without done, so the next boot re-enqueues this
@@ -651,7 +643,7 @@ impl Service {
             let progress = Progress::new(ProgressMode::Silent, chunk.len());
             let report = pool::execute(
                 chunk,
-                fanout.min(chunk.len()),
+                chunk.len(),
                 &self.cache,
                 &self.traces,
                 self.telemetry.as_ref(),

@@ -201,14 +201,21 @@ fn zoo_bakeoff_job_matches_the_batch_pipeline_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// `job_fanout` chunks a job's runs with the sweep shard planner and fans
-/// each chunk across a pool; the response must still list results in
-/// submitted run order with byte-identical TSV lines.
+/// `job_fanout` deduplicates a job's runs by cache key, chunks them and
+/// fans each chunk across a pool; the response must still list results in
+/// submitted run order with byte-identical TSV lines, and a run the job
+/// names twice must be simulated once.
 #[test]
 fn job_fanout_preserves_result_order_and_bytes() {
+    // Five distinct runs, the first named twice in a row: the repeat is
+    // next in line, so nothing but deduplication keeps both copies from
+    // being claimed at once, and its 0.5 M-instruction window makes two
+    // such copies overlap for milliseconds.
     let multi_spec = "{\"v\":1,\"runs\":[\
          {\"config\":\"single_core\",\"workload\":\"db\",\"prefetcher\":\"none\",\
-          \"policy\":\"install_both\",\"warm\":2000,\"measure\":5000},\
+          \"policy\":\"install_both\",\"warm\":2000,\"measure\":500000},\
+         {\"config\":\"single_core\",\"workload\":\"db\",\"prefetcher\":\"none\",\
+          \"policy\":\"install_both\",\"warm\":2000,\"measure\":500000},\
          {\"config\":\"single_core\",\"workload\":\"web\",\"prefetcher\":\"nl_tagged\",\
           \"policy\":\"install_both\",\"warm\":2000,\"measure\":5000},\
          {\"config\":\"single_core\",\"workload\":\"japp\",\"prefetcher\":\"none\",\
@@ -247,8 +254,30 @@ fn job_fanout_preserves_result_order_and_bytes() {
 
     let (serial, root_a) = run_job("fanout-1", 1);
     let (fanned, root_b) = run_job("fanout-3", 3);
-    assert_eq!(serial.len(), 5);
+    assert_eq!(serial.len(), 6);
     assert_eq!(serial, fanned, "fan-out changed result order or bytes");
+    assert_eq!(fanned[1], fanned[0], "the repeated run shares its result");
+    let workloads: Vec<&str> = fanned
+        .iter()
+        .map(|row| row.split('·').nth(1).unwrap())
+        .collect();
+    assert_eq!(workloads, ["DB", "DB", "Web", "jApp", "TPC-W", "Mixed"]);
+
+    // Exactly one simulation per distinct run: the repeat was neither
+    // simulated again nor raced against its first copy.
+    let log = std::fs::read_to_string(root_b.join("serve/runlog.tsv")).unwrap();
+    let mut simulated: Vec<&str> = log
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.split('\t').collect::<Vec<_>>())
+        .filter(|f| f[2] != "cache")
+        .map(|f| f[13])
+        .collect();
+    let rows = simulated.len();
+    simulated.sort_unstable();
+    simulated.dedup();
+    assert_eq!(simulated.len(), 5, "distinct runs simulated:\n{log}");
+    assert_eq!(rows, 5, "a run was simulated twice:\n{log}");
     let _ = std::fs::remove_dir_all(&root_a);
     let _ = std::fs::remove_dir_all(&root_b);
 }
